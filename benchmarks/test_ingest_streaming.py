@@ -3,20 +3,20 @@
 The pre-PacketSource analyzers materialized every capture as a
 ``list[CapturedPacket]`` before the first packet was analyzed.  This
 experiment pins down what the streaming readers buy: the same campus-scale
-pcap is analyzed (a) the old way — ``read_pcap`` into a list, then
-``analyze`` — and (b) through ``AnalysisSession`` over a
-:class:`~repro.net.source.PcapFileSource`, which never holds more than one
-batch.  Peak allocation is measured with :mod:`tracemalloc`; the analysis
+pcap is analyzed (a) the old way — the whole capture read into a list,
+then fed frame by frame — (b) streamed frame by frame off a
+:class:`~repro.net.pcap.PcapReader`, and (c) through ``AnalysisSession``
+over a :class:`~repro.net.source.PcapFileSource`, which never holds more
+than one batch.  Peak allocation is measured with :mod:`tracemalloc`; the analysis
 results are asserted identical before any number is reported.
 """
 
 import time
 import tracemalloc
-import warnings
 
 from repro.analysis.tables import format_table
 from repro.core import AnalysisSession, AnalyzerConfig, ZoomAnalyzer
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import PcapReader, write_pcap
 from repro.net.source import PcapFileSource
 
 
@@ -37,22 +37,23 @@ def test_ingest_streaming_vs_eager(campus, tmp_path, report):
     file_bytes = pcap_path.stat().st_size
 
     def eager():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            packets = read_pcap(pcap_path)
-        return ZoomAnalyzer().analyze(packets)
+        with PcapReader(pcap_path) as reader:
+            packets = list(reader)
+        analyzer = ZoomAnalyzer(AnalyzerConfig())
+        for packet in packets:
+            analyzer.feed(packet)
+        return analyzer.result
 
     def streaming_scalar():
         analyzer = ZoomAnalyzer(AnalyzerConfig())
-        with PcapFileSource(pcap_path) as source:
-            for batch in source.batches():
-                for parsed in batch:
-                    analyzer.feed_parsed(parsed)
+        with PcapReader(pcap_path) as reader:
+            for packet in reader:
+                analyzer.feed(packet)
         return analyzer.result
 
     def streaming_batch():
-        # AnalysisSession.run drains frame_batches() when the source has
-        # them: raw FrameBatch buffers, columnar decode, lazy survivors.
+        # AnalysisSession.run drains frame_batches(): raw FrameBatch
+        # buffers, columnar decode, lazy survivors.
         session = AnalysisSession(AnalyzerConfig())
         return session.run(PcapFileSource(pcap_path))
 
@@ -82,13 +83,13 @@ def test_ingest_streaming_vs_eager(campus, tmp_path, report):
             ["ingest path", "wall s", "peak MiB", "packets/s"],
             [
                 (
-                    "eager (read_pcap + analyze)",
+                    "eager (read into a list + feed)",
                     f"{eager_time:.2f}",
                     f"{eager_peak / mib:.1f}",
                     int(packet_count / eager_time),
                 ),
                 (
-                    "streaming scalar (batches of ParsedPacket)",
+                    "streaming scalar (PcapReader + feed)",
                     f"{stream_time:.2f}",
                     f"{stream_peak / mib:.1f}",
                     int(packet_count / stream_time),

@@ -1,7 +1,7 @@
 """What the live-monitoring layer costs on top of the rolling analyzer.
 
 The monitoring daemon adds three things to the rolling analyzer's packet
-path: the per-packet ``observe_packet`` feed into the window aggregator,
+path: the per-frame volume accounting of ``WindowAggregator.feed_batch``,
 the event-bus fan-in of stream/meeting events into open windows, and the
 exporters at window close (JSONL append plus a Prometheus render, standing
 in for a scrape).  This benchmark replays the §5 validation meeting through
@@ -16,6 +16,7 @@ import time
 from repro.analysis.tables import format_table
 from repro.core import AnalyzerConfig
 from repro.core.rolling import RollingZoomAnalyzer
+from repro.net.source import IterableSource
 from repro.service.exporters import JsonlWindowLog
 from repro.service.prometheus import render_metrics
 from repro.service.windows import WindowAggregator
@@ -28,11 +29,16 @@ def _config() -> AnalyzerConfig:
     return AnalyzerConfig(rolling=True, rolling_idle_timeout=60.0, telemetry=True)
 
 
+def _batches(captures):
+    return list(IterableSource(captures).frame_batches())
+
+
 def _run_bare(captures):
     rolling = RollingZoomAnalyzer(_config())
+    batches = _batches(captures)
     start = time.perf_counter()
-    for capture in captures:
-        rolling.feed(capture)
+    for batch in batches:
+        rolling.feed_batch(batch)
     rolling.sweep(float("inf"))
     return time.perf_counter() - start, rolling
 
@@ -56,10 +62,10 @@ def _run_monitored(captures, tmp_path):
         on_window=(export,),
         telemetry=telemetry,
     )
+    batches = _batches(captures)
     start = time.perf_counter()
-    for capture in captures:
-        rolling.feed(capture)
-        aggregator.observe_packet(capture.timestamp, len(capture.data))
+    for batch in batches:
+        aggregator.feed_batch(batch)
     rolling.sweep(float("inf"))
     aggregator.flush(final=True)
     elapsed = time.perf_counter() - start

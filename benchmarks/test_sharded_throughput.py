@@ -144,11 +144,13 @@ def test_batch_and_sharded_throughput(campus, report):
     trace, _model, single = campus
     packets = trace.result.captures
 
-    backend = "process" if CORES >= SHARDS else "thread"
+    backend = "process" if CORES >= SHARDS else "serial"
     _, single_time = _timed("single", lambda: ZoomAnalyzer().analyze(packets))
     sharded, sharded_time = _timed(
         "sharded",
-        lambda: ShardedAnalyzer(shards=SHARDS, backend=backend).analyze(packets),
+        lambda: ShardedAnalyzer(
+            AnalyzerConfig(shards=SHARDS, shard_backend=backend)
+        ).analyze(packets),
     )
 
     # The merged result must agree with the single pass on everything the
@@ -220,10 +222,12 @@ def test_telemetry_overhead(campus, report):
     packets = trace.result.captures
 
     _, off_time = _timed(
-        "telemetry off", lambda: ZoomAnalyzer(telemetry=False).analyze(packets)
+        "telemetry off",
+        lambda: ZoomAnalyzer(AnalyzerConfig(telemetry=False)).analyze(packets),
     )
     enabled_result, on_time = _timed(
-        "telemetry on", lambda: ZoomAnalyzer(telemetry=True).analyze(packets)
+        "telemetry on",
+        lambda: ZoomAnalyzer(AnalyzerConfig(telemetry=True)).analyze(packets),
     )
 
     snapshot = enabled_result.telemetry_snapshot()

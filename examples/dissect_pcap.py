@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.core.dissector import dissect
 from repro.net.packet import parse_frame
-from repro.net.pcap import read_pcap, write_pcap
+from repro.net.pcap import PcapReader, write_pcap
 from repro.rtp.stun import is_stun
 from repro.simulation import MeetingConfig, MeetingSimulator, ParticipantConfig
 from repro.zoom.constants import SERVER_MEDIA_PORT
@@ -56,24 +56,27 @@ def main() -> None:
 
     printed = 0
     kinds_seen = set()
-    for captured in read_pcap(path):
-        packet = parse_frame(captured.data, captured.timestamp)
-        if not packet.is_udp or is_stun(packet.payload):
-            continue
-        from_server = SERVER_MEDIA_PORT in (packet.src_port, packet.dst_port)
-        tree = dissect(packet.payload, from_server=from_server)
-        # Show one of each packet kind rather than six identical video packets.
-        kind = tree.display.split("]")[1].split()[0] if "]" in tree.display else "?"
-        if kind in kinds_seen and len(kinds_seen) < 4:
-            continue
-        kinds_seen.add(kind)
-        print(f"--- packet @ t={captured.timestamp:.4f}s "
-              f"{packet.src_ip}:{packet.src_port} -> {packet.dst_ip}:{packet.dst_port} ---")
-        print(tree.render())
-        print()
-        printed += 1
-        if printed >= args.limit:
-            break
+    with PcapReader(path) as reader:
+        for captured in reader:
+            packet = parse_frame(captured.data, captured.timestamp)
+            if not packet.is_udp or is_stun(packet.payload):
+                continue
+            from_server = SERVER_MEDIA_PORT in (packet.src_port, packet.dst_port)
+            tree = dissect(packet.payload, from_server=from_server)
+            # Show one of each packet kind rather than six identical video packets.
+            display = tree.display
+            kind = display.split("]")[1].split()[0] if "]" in display else "?"
+            if kind in kinds_seen and len(kinds_seen) < 4:
+                continue
+            kinds_seen.add(kind)
+            print(f"--- packet @ t={captured.timestamp:.4f}s "
+                  f"{packet.src_ip}:{packet.src_port} -> "
+                  f"{packet.dst_ip}:{packet.dst_port} ---")
+            print(tree.render())
+            print()
+            printed += 1
+            if printed >= args.limit:
+                break
     if printed == 0:
         print("no dissectable Zoom UDP packets found")
 

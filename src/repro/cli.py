@@ -139,7 +139,11 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         anonymizer=anonymizer,
     )
     with open_capture_source(args.input) as source, PcapWriter(args.output) as writer:
-        captured = (CapturedPacket(p.timestamp, p.raw) for p in source)
+        captured = (
+            CapturedPacket(timestamp, bytes(frame))
+            for batch in source.frame_batches()
+            for frame, timestamp in batch.iter_frames()
+        )
         for packet in model.process(captured):
             writer.write(packet)
         written = writer.packets_written
@@ -150,6 +154,15 @@ def _cmd_filter(args: argparse.Namespace) -> int:
         f"dropped {counters.dropped}"
     )
     return 0
+
+
+def _parsed_packets(path):
+    """Every frame of one capture file (either format), parsed, in order."""
+    from repro.net.source import open_capture_source
+
+    with open_capture_source(path) as source:
+        for batch in source.frame_batches():
+            yield from batch
 
 
 def _build_analyze_source(args: argparse.Namespace):
@@ -279,7 +292,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_dissect(args: argparse.Namespace) -> int:
     from repro.core.config import AnalyzerConfig, ProtocolConfig
-    from repro.net.source import open_capture_source
     from repro.protocols import build_registry
 
     # Classify with the real plugin registry rather than guessing "server"
@@ -299,7 +311,7 @@ def _cmd_dissect(args: argparse.Namespace) -> int:
     plugins = build_registry(config)
     show = set(args.protocol) if args.protocol else None
     printed = 0
-    for packet in open_capture_source(args.input):
+    for packet in _parsed_packets(args.input):
         if not packet.is_udp:
             continue
         claimant = klass = None
@@ -418,10 +430,9 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
     from repro.core.entropy import analyze_flow, find_rtp_signature
     from repro.core.offset_finder import discover_offsets
-    from repro.net.source import open_capture_source
 
     flows: dict = defaultdict(list)
-    for packet in open_capture_source(args.input):
+    for packet in _parsed_packets(args.input):
         if packet.is_udp and packet.five_tuple is not None:
             flows[packet.five_tuple].append(packet.payload)
     if not flows:
@@ -643,6 +654,8 @@ def _cmd_fleet_query(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.net.batch import DEFAULT_FRAMES_PER_BATCH
+
     parser = argparse.ArgumentParser(
         prog="zoom-analysis",
         description="Passive measurement of Zoom performance (IMC'22 reproduction)",
@@ -712,11 +725,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--tolerant", action="store_true",
                          help="treat a truncated capture tail as end-of-file "
                               "instead of an error (counted in --stats)")
-    analyze.add_argument("--batch-size", type=_positive_int, default=256,
-                         metavar="FRAMES",
-                         help="capture read-chunk size in frames "
-                              "(default 256; the batch pipeline upgrades an "
-                              "untouched default to its preferred chunk)")
+    analyze.add_argument("--batch-size", type=_positive_int,
+                         default=DEFAULT_FRAMES_PER_BATCH, metavar="FRAMES",
+                         help="frames per batch read from each capture "
+                              f"(default {DEFAULT_FRAMES_PER_BATCH})")
     analyze.set_defaults(func=_cmd_analyze)
 
     live = sub.add_parser(
@@ -737,9 +749,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "CAP_NET_RAW); 'sim:<capture-path>' replays a "
                            "capture through the simulated socket, no "
                            "privileges needed")
-    live.add_argument("--batch-size", type=_positive_int, default=256,
-                      metavar="FRAMES",
-                      help="ingest read-chunk size in frames (default 256)")
+    live.add_argument("--batch-size", type=_positive_int,
+                      default=DEFAULT_FRAMES_PER_BATCH, metavar="FRAMES",
+                      help="frames per ingest batch "
+                           f"(default {DEFAULT_FRAMES_PER_BATCH})")
     live.add_argument("--window", type=float, default=10.0, metavar="SECONDS",
                       help="tumbling aggregation window width (default 10)")
     live.add_argument("--lateness", type=float, default=5.0, metavar="SECONDS",

@@ -6,8 +6,7 @@ Before this module existed, :class:`~repro.core.pipeline.ZoomAnalyzer`,
 the same option kwargs by hand, and the sets had drifted (the sharded driver
 could not share a telemetry registry; the rolling wrapper had no shard
 options at all).  Every driver now consumes one immutable config object —
-``ZoomAnalyzer(AnalyzerConfig(...))`` — and the old per-driver kwargs remain
-as deprecated shims routed through :func:`resolve_config`.
+``ZoomAnalyzer(AnalyzerConfig(...))`` — and takes no option kwargs.
 
 The config is *frozen* so a driver can hold it without defensive copies,
 ship it across process boundaries (the sharded process backend pickles it),
@@ -17,18 +16,16 @@ and derive variants with :meth:`AnalyzerConfig.replace`.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
+from repro.net.batch import DEFAULT_FRAMES_PER_BATCH
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZOOM_SERVER_SUBNETS
 
-#: Sentinel distinguishing "kwarg not supplied" from every real value
-#: (``None`` is a meaningful value for several options).
-_UNSET = object()
-
-SHARD_BACKENDS = ("serial", "thread", "process")
+#: ``"process"`` runs shards in parallel worker processes; ``"serial"``
+#: runs them one after another in-process (debugging, equivalence tests).
+SHARD_BACKENDS = ("serial", "process")
 
 #: Names ``ProtocolConfig`` accepts.  Kept as a literal here (instead of
 #: importing :data:`repro.protocols.registry.PLUGIN_FACTORIES`) to avoid a
@@ -91,7 +88,7 @@ class AnalyzerConfig:
         shards: Flow-affine parallelism (1 = single pass).  Consumed by
             :class:`~repro.core.sharded.ShardedAnalyzer` and the
             :class:`~repro.core.session.AnalysisSession` driver selection.
-        shard_backend: ``"serial"``, ``"thread"``, or ``"process"``.
+        shard_backend: ``"process"`` (default) or ``"serial"``.
         rolling: Run with bounded-memory idle-stream eviction
             (:class:`~repro.core.rolling.RollingZoomAnalyzer`).
         rolling_idle_timeout: Seconds of inactivity before a stream is
@@ -106,11 +103,10 @@ class AnalyzerConfig:
         protocols: Which protocol plugins the registry enables (default:
             Zoom only, the bit-identical legacy behaviour) plus their
             generic-RTP tunables.
-        batch_size: Read-chunk size (in frames) handed to capture sources
-            and the live interface source (``--batch-size``).  The default
-            mirrors :data:`repro.net.source.DEFAULT_BATCH_SIZE`; sources
-            upgrade an untouched default to their preferred batch-pipeline
-            chunk, while an explicit value is honoured as-is.
+        batch_size: Frames per :class:`~repro.net.batch.FrameBatch` read
+            by capture sources, the directory tailer and the live interface
+            source (``--batch-size``); defaults to
+            :data:`~repro.net.batch.DEFAULT_FRAMES_PER_BATCH`.
     """
 
     zoom_subnets: tuple[str, ...] = tuple(ZOOM_SERVER_SUBNETS)
@@ -120,13 +116,13 @@ class AnalyzerConfig:
     tolerant: bool = False
     telemetry: "Telemetry | bool | Callable[[], Telemetry]" = True
     shards: int = 1
-    shard_backend: str = "thread"
+    shard_backend: str = "process"
     rolling: bool = False
     rolling_idle_timeout: float = 60.0
     rolling_sweep_interval: float = 10.0
     qoe: "QoeConfig | None" = None
     protocols: "ProtocolConfig" = dataclasses.field(default_factory=ProtocolConfig)
-    batch_size: int = 256
+    batch_size: int = DEFAULT_FRAMES_PER_BATCH
 
     def __post_init__(self) -> None:
         # Normalize subnet iterables to tuples so the config hashes/pickles
@@ -172,8 +168,8 @@ class AnalyzerConfig:
     def shard_config(self) -> "AnalyzerConfig":
         """The per-shard variant of this config.
 
-        A shared registry instance cannot be recorded into concurrently from
-        thread or process shards, so it degrades to its enabled flag — each
+        A shared registry instance cannot be recorded into from worker
+        processes, so it degrades to its enabled flag — each
         shard then builds a private registry and the driver merges them.
         Factories and bools pass through (a factory is called once per
         shard, in the worker).
@@ -543,55 +539,3 @@ class FleetConfig:
     def replace(self, **changes: object) -> "FleetConfig":
         """A copy of this config with ``changes`` applied."""
         return dataclasses.replace(self, **changes)
-
-
-#: Legacy per-driver kwarg name → config field name.
-_LEGACY_FIELDS = {
-    "zoom_subnets": "zoom_subnets",
-    "campus_subnets": "campus_subnets",
-    "stun_timeout": "stun_timeout",
-    "keep_records": "keep_records",
-    "tolerant": "tolerant",
-    "telemetry": "telemetry",
-    "shards": "shards",
-    "backend": "shard_backend",
-    "idle_timeout": "rolling_idle_timeout",
-    "sweep_interval": "rolling_sweep_interval",
-}
-
-
-def resolve_config(
-    config: "AnalyzerConfig | Iterable[str] | None",
-    caller: str,
-    **legacy: object,
-) -> AnalyzerConfig:
-    """Normalize a driver's ``(config, **deprecated kwargs)`` inputs.
-
-    ``config`` may be an :class:`AnalyzerConfig` (the modern form), ``None``
-    (defaults, or legacy kwargs), or — for drivers whose first positional
-    argument used to be ``zoom_subnets`` — a bare iterable of prefixes.
-    Legacy kwargs are mapped onto config fields with a
-    :class:`DeprecationWarning`; mixing them with an explicit config is an
-    error rather than a silent precedence rule.
-    """
-    supplied = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if isinstance(config, AnalyzerConfig):
-        if supplied:
-            raise TypeError(
-                f"{caller}: pass either config= or the deprecated option "
-                f"kwargs ({', '.join(sorted(supplied))}), not both"
-            )
-        return config
-    if config is not None:  # legacy positional zoom_subnets
-        supplied.setdefault("zoom_subnets", config)
-    if not supplied:
-        return AnalyzerConfig()
-    warnings.warn(
-        f"{caller}({', '.join(sorted(supplied))}) option arguments are "
-        f"deprecated; pass {caller}(config=AnalyzerConfig(...)) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return AnalyzerConfig(
-        **{_LEGACY_FIELDS[name]: value for name, value in supplied.items()}
-    )

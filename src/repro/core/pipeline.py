@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterable
 
-from repro.core.config import _UNSET, AnalyzerConfig, resolve_config
+from repro.core.config import AnalyzerConfig
 from repro.core.detector import ZoomTrafficDetector
 from repro.core.events import EventBus, StreamEvicted
 from repro.core.meetings import Meeting, MeetingGrouper, group_streams
@@ -289,41 +289,20 @@ class ZoomAnalyzer:
         bus: Optional pre-wired :class:`~repro.core.events.EventBus`; one is
             created (with the default bitrate-binning and RTCP-sync sinks)
             when omitted.
-        **deprecated: The historical per-option kwargs (``zoom_subnets``,
-            ``campus_subnets``, ``stun_timeout``, ``keep_records``,
-            ``telemetry``) still work — including ``zoom_subnets`` passed
-            positionally — but warn; they are shims over the config.
 
     Usage::
 
         analyzer = ZoomAnalyzer(AnalyzerConfig(campus_subnets=("10.8.0.0/16",)))
-        result = analyzer.analyze(captured_packets)     # in-memory frames
         result = analyzer.run(PcapFileSource("a.pcap")) # streaming source
+        result = analyzer.analyze(captured_packets)     # in-memory frames
 
     Subscribers (see :mod:`repro.core.events`) attach via ``analyzer.bus``.
     """
 
     def __init__(
-        self,
-        config: AnalyzerConfig | Iterable[str] | None = None,
-        *,
-        bus: EventBus | None = None,
-        zoom_subnets: Iterable[str] | object = _UNSET,
-        campus_subnets: Iterable[str] | None | object = _UNSET,
-        stun_timeout: float | object = _UNSET,
-        keep_records: bool | object = _UNSET,
-        telemetry: Telemetry | bool | object = _UNSET,
+        self, config: AnalyzerConfig | None = None, *, bus: EventBus | None = None
     ) -> None:
-        self.config = resolve_config(
-            config,
-            "ZoomAnalyzer",
-            zoom_subnets=zoom_subnets,
-            campus_subnets=campus_subnets,
-            stun_timeout=stun_timeout,
-            keep_records=keep_records,
-            telemetry=telemetry,
-        )
-        config = self.config
+        config = self.config = config if config is not None else AnalyzerConfig()
         self.bus = bus if bus is not None else EventBus()
         self.result = AnalysisResult()
         self.result.telemetry = config.make_telemetry()
@@ -381,70 +360,42 @@ class ZoomAnalyzer:
 
     def analyze(self, packets: Iterable[CapturedPacket]) -> AnalysisResult:
         """Feed a whole in-memory capture and return the result."""
-        for packet in packets:
-            self.feed(packet)
-        return self.result
+        return self.run(packets)
 
     def run(self, source: "PacketSource") -> AnalysisResult:
         """Drain a :class:`~repro.net.source.PacketSource` and return the result.
 
-        The streaming twin of :meth:`analyze`: memory stays bounded by one
-        batch regardless of capture size.  Also accepts a file path or a
-        plain packet iterable (coerced to a source).  Sources exposing
-        ``frame_batches()`` — every built-in one does — go through the
-        batch fast path (:meth:`feed_batch`); file-backed sources deliver
-        raw contiguous buffers there, so non-Zoom frames are prefiltered
-        before any per-packet object is allocated.
+        Memory stays bounded by one batch regardless of capture size.  Also
+        accepts a file path or a plain packet iterable (coerced to a
+        source).  Every batch goes through :meth:`feed_batch`, so non-Zoom
+        frames are prefiltered before any per-packet object is allocated.
         """
         from repro.net.source import coerce_source
 
         coerced = coerce_source(source, telemetry=self._telemetry)
-        frame_batches = getattr(coerced, "frame_batches", None)
-        if frame_batches is not None:
-            for batch in frame_batches():
-                self.feed_batch(batch)
-            return self.result
-        for batch in coerced.batches():
-            for parsed in batch:
-                self.feed_parsed(parsed)
+        for batch in coerced.frame_batches():
+            self.feed_batch(batch)
         return self.result
 
     def feed(self, captured: CapturedPacket) -> None:
-        """Feed one captured frame."""
-        self._run(PacketContext(captured=captured))
+        """Feed one captured frame through every stage, with no prefilter.
 
-    def feed_parsed(self, parsed: ParsedPacket) -> None:
-        """Feed one already-parsed frame."""
-        self._run(PacketContext(parsed=parsed))
+        The per-frame reference path: the batch≡scalar equivalence suites
+        check :meth:`feed_batch` against it frame for frame.
+        """
+        self._run(PacketContext(captured=captured))
 
     def feed_batch(self, batch: FrameBatch) -> None:
         """Feed one :class:`~repro.net.batch.FrameBatch`.
 
-        Raw batches take the vectorized path: columnar header decode, the
-        compiled prefilter, then lazy materialization of survivors through
-        the unchanged scalar stages — every counter, stream, and metric is
-        bit-identical to feeding the same frames one by one.  Prepared
-        batches (the scalar-source shim) feed their packets through
-        unchanged.  Hint frames (sharding) reach :meth:`hint_stun` in
+        The vectorized path: columnar header decode, the compiled
+        prefilter, then lazy materialization of survivors through the
+        unchanged scalar stages — every counter, stream, and metric is
+        bit-identical to feeding the same frames one by one through
+        :meth:`feed`.  Hint frames (sharding) reach :meth:`hint_stun` in
         capture order, interleaved with the survivors around them.
         """
         tel = self._telemetry
-        prepared = batch.prepared
-        if prepared is not None:
-            if tel.enabled:
-                tel.count("pipeline.batch.batches")
-                tel.count("pipeline.batch.frames", len(prepared))
-            hints = batch.hints
-            if hints is not None:
-                for i, parsed in enumerate(prepared):
-                    if hints[i]:
-                        self.hint_stun(parsed)
-                    else:
-                        self._run(PacketContext(parsed=parsed))
-            else:
-                for parsed in prepared:
-                    self._run(PacketContext(parsed=parsed))
-            return
         bctx = BatchContext(batch)
         self._decode_stage.process_batch(bctx)
         verdict = self._classify_stage.process_batch(bctx)

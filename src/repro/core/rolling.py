@@ -19,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.core.config import _UNSET, AnalyzerConfig, resolve_config
+from repro.core.config import AnalyzerConfig
 from repro.core.events import StreamEvicted
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
 from repro.core.streams import MediaStream, StreamKey
-from repro.net.packet import CapturedPacket, ParsedPacket
-from repro.telemetry.registry import Telemetry
+from repro.net.packet import CapturedPacket
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.batch import FrameBatch
@@ -64,10 +63,6 @@ class RollingZoomAnalyzer:
             under ``pipeline.evicted.*`` via the shared eviction path.
         on_stream_finalized: Optional callback receiving each
             :class:`FinalizedStream` (e.g. to write a database row).
-        **deprecated: The historical kwargs (``idle_timeout``,
-            ``sweep_interval``, ``zoom_subnets``, ``campus_subnets``,
-            ``stun_timeout``, ``keep_records``, ``telemetry``) still work
-            but warn; they are shims over the config.
     """
 
     def __init__(
@@ -75,25 +70,8 @@ class RollingZoomAnalyzer:
         config: AnalyzerConfig | None = None,
         *,
         on_stream_finalized: Optional[Callable[[FinalizedStream], None]] = None,
-        idle_timeout: float | object = _UNSET,
-        sweep_interval: float | object = _UNSET,
-        zoom_subnets: Iterable[str] | object = _UNSET,
-        campus_subnets: Iterable[str] | None | object = _UNSET,
-        stun_timeout: float | object = _UNSET,
-        keep_records: bool | object = _UNSET,
-        telemetry: Telemetry | bool | object = _UNSET,
     ) -> None:
-        self.config = resolve_config(
-            config,
-            "RollingZoomAnalyzer",
-            idle_timeout=idle_timeout,
-            sweep_interval=sweep_interval,
-            zoom_subnets=zoom_subnets,
-            campus_subnets=campus_subnets,
-            stun_timeout=stun_timeout,
-            keep_records=keep_records,
-            telemetry=telemetry,
-        )
+        self.config = config if config is not None else AnalyzerConfig()
         self.idle_timeout = self.config.rolling_idle_timeout
         self.sweep_interval = self.config.rolling_sweep_interval
         self.on_stream_finalized = on_stream_finalized
@@ -113,18 +91,6 @@ class RollingZoomAnalyzer:
         """The wrapped analyzer (e.g. to register further event sinks)."""
         return self._analyzer
 
-    def feed(self, packet: CapturedPacket) -> None:
-        """Feed one captured frame; may trigger an eviction sweep."""
-        self._analyzer.feed(packet)
-        if packet.timestamp - self._last_sweep >= self.sweep_interval:
-            self.sweep(packet.timestamp)
-
-    def feed_parsed(self, parsed: ParsedPacket) -> None:
-        """Feed one already-parsed frame; may trigger an eviction sweep."""
-        self._analyzer.feed_parsed(parsed)
-        if parsed.timestamp - self._last_sweep >= self.sweep_interval:
-            self.sweep(parsed.timestamp)
-
     def feed_batch(self, batch: "FrameBatch") -> None:
         """Feed one :class:`~repro.net.batch.FrameBatch`; may trigger a sweep.
 
@@ -142,18 +108,15 @@ class RollingZoomAnalyzer:
             self.sweep(now)
 
     def analyze(self, packets: Iterable[CapturedPacket]) -> AnalysisResult:
-        for packet in packets:
-            self.feed(packet)
-        return self.result
+        """Feed a whole in-memory capture with eviction; returns the result."""
+        return self.run(packets)
 
     def run(self, source: "PacketSource") -> AnalysisResult:
         """Drain a :class:`~repro.net.source.PacketSource` with eviction.
 
-        The streaming twin of :meth:`analyze`; combined with a streaming
-        source this is the shape of a live deployment — bounded reader
-        memory in, bounded analyzer state throughout.  Batch-capable
-        sources stream :class:`~repro.net.batch.FrameBatch` buffers through
-        the vectorized fast path.
+        Combined with a streaming source this is the shape of a live
+        deployment — bounded reader memory in, bounded analyzer state
+        throughout.  Also accepts a file path or a plain packet iterable.
         """
         from repro.net.source import coerce_source
 
@@ -162,14 +125,8 @@ class RollingZoomAnalyzer:
             telemetry=self._analyzer.result.telemetry,
             tolerant=self.config.tolerant,
         )
-        frame_batches = getattr(source, "frame_batches", None)
-        if frame_batches is not None:
-            for frame_batch in frame_batches():
-                self.feed_batch(frame_batch)
-            return self.result
-        for batch in source.batches():
-            for parsed in batch:
-                self.feed_parsed(parsed)
+        for batch in source.frame_batches():
+            self.feed_batch(batch)
         return self.result
 
     def sweep(self, now: float) -> int:

@@ -21,13 +21,13 @@ Two cross-flow effects need care:
   and survives sharding) when latency matters.  Stream, meeting, and
   Table-2/3 accounting are unaffected.
 
-Backends: ``"serial"`` (debugging/baseline), ``"thread"`` (shared-memory;
-bounded by the GIL for pure-Python decode), ``"process"``
-(``multiprocessing``; true parallelism).  Work crosses the process
-boundary as :class:`~repro.net.batch.FrameBatch` buffers — one contiguous
-``bytes`` plus three flat arrays per ~2048 frames — so pickling cost is a
-handful of buffer copies per batch instead of one ``CapturedPacket``
-object per packet, and each shard runs the batch fast path
+Backends: ``"process"`` (the default; ``multiprocessing``, true
+parallelism) and ``"serial"`` (every shard in-process, one after another;
+debugging and the equivalence tests).  Work crosses the process boundary
+as :class:`~repro.net.batch.FrameBatch` buffers — one contiguous ``bytes``
+plus three flat arrays per ~2048 frames — so pickling cost is a handful of
+buffer copies per batch instead of one ``CapturedPacket`` object per
+packet, and each shard runs the batch fast path
 (:meth:`ZoomAnalyzer.feed_batch`) end to end.
 """
 
@@ -37,10 +37,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core.config import _UNSET, AnalyzerConfig, resolve_config
+from repro.core.config import AnalyzerConfig
 from repro.core.pipeline import AnalysisResult, ZoomAnalyzer
 from repro.net.batch import FrameBatch, FrameBatchBuilder
-from repro.net.packet import CapturedPacket, parse_frame
+from repro.net.packet import CapturedPacket
 from repro.rtp.stun import STUN_PORT
 from repro.telemetry.registry import Telemetry
 
@@ -113,7 +113,7 @@ def flow_shard_info(data) -> tuple[int, bool] | None:
 
 @dataclass
 class PartitionStats:
-    """Accounting from one :meth:`ShardedAnalyzer.partition` call."""
+    """Accounting from one :meth:`ShardedAnalyzer.partition_frames` call."""
 
     shard_packets: list[int] = field(default_factory=list)
     hints_replicated: int = 0
@@ -121,24 +121,6 @@ class PartitionStats:
 
 
 def _analyze_shard(args: tuple) -> AnalysisResult:
-    """Worker: run one shard's packet sequence through a fresh analyzer.
-
-    ``work`` is a capture-time-ordered list of (packet, is_hint) pairs;
-    hints are replicated STUN packets that teach the detector without being
-    counted.  Module-level so the process backend can pickle it; the config
-    is the picklable per-shard variant (:meth:`AnalyzerConfig.shard_config`).
-    """
-    config, work = args
-    analyzer = ZoomAnalyzer(config)
-    for packet, is_hint in work:
-        if is_hint:
-            analyzer.hint_stun(parse_frame(packet.data, packet.timestamp))
-        else:
-            analyzer.feed(packet)
-    return analyzer.result
-
-
-def _analyze_shard_batches(args: tuple) -> AnalysisResult:
     """Worker: run one shard's :class:`FrameBatch` list through a fresh
     analyzer's batch fast path.
 
@@ -167,82 +149,19 @@ class ShardedAnalyzer:
             its own ``sharded.*`` partition accounting (per-shard packet
             balance, STUN hint replication) on top.  A shared
             :class:`~repro.telemetry.Telemetry` *instance* in the config
-            cannot be written from concurrent shards, so it degrades to its
+            cannot be written from worker processes, so it degrades to its
             enabled flag; pass a factory for custom per-shard registries.
-        **deprecated: The historical kwargs (``shards``, ``zoom_subnets``,
-            ``campus_subnets``, ``stun_timeout``, ``keep_records``,
-            ``backend``, ``telemetry``) still work but warn; they are shims
-            over the config.
 
     Usage::
 
         result = ShardedAnalyzer(AnalyzerConfig(shards=4)).analyze(packets)
     """
 
-    def __init__(
-        self,
-        config: AnalyzerConfig | None = None,
-        *,
-        shards: int | object = _UNSET,
-        zoom_subnets: Iterable[str] | object = _UNSET,
-        campus_subnets: Iterable[str] | None | object = _UNSET,
-        stun_timeout: float | object = _UNSET,
-        keep_records: bool | object = _UNSET,
-        backend: str | object = _UNSET,
-        telemetry: Telemetry | bool | object = _UNSET,
-    ) -> None:
-        self.config = resolve_config(
-            config,
-            "ShardedAnalyzer",
-            shards=shards,
-            zoom_subnets=zoom_subnets,
-            campus_subnets=campus_subnets,
-            stun_timeout=stun_timeout,
-            keep_records=keep_records,
-            backend=backend,
-            telemetry=telemetry,
-        )
-        # Legacy default: ShardedAnalyzer() historically meant 4 shards,
-        # while AnalyzerConfig defaults to a single pass.
-        if self.config.shards == 1 and config is None and shards is _UNSET:
-            self.config = self.config.replace(shards=4)
+    def __init__(self, config: AnalyzerConfig | None = None) -> None:
+        self.config = config if config is not None else AnalyzerConfig()
         self.shards = self.config.shards
         self.backend = self.config.shard_backend
         self.partition_stats = PartitionStats()
-
-    def partition(
-        self, packets: Iterable[CapturedPacket]
-    ) -> list[list[tuple[CapturedPacket, bool]]]:
-        """Split a capture into per-shard work lists, preserving order.
-
-        Each packet lands on exactly one home shard (flow-affine, both
-        directions together); STUN packets are additionally replicated to
-        every other shard as detector hints.  Partition accounting for the
-        most recent call is kept on :attr:`partition_stats`.
-        """
-        buckets: list[list[tuple[CapturedPacket, bool]]] = [
-            [] for _ in range(self.shards)
-        ]
-        stats = PartitionStats(shard_packets=[0] * self.shards)
-        for packet in packets:
-            info = flow_shard_info(packet.data)
-            if info is None:
-                home = zlib.crc32(packet.data) % self.shards
-                buckets[home].append((packet, False))
-                stats.shard_packets[home] += 1
-                stats.unhashable_frames += 1
-                continue
-            flow_hash, is_stun = info
-            home = flow_hash % self.shards
-            buckets[home].append((packet, False))
-            stats.shard_packets[home] += 1
-            if is_stun:
-                for index in range(self.shards):
-                    if index != home:
-                        buckets[index].append((packet, True))
-                        stats.hints_replicated += 1
-        self.partition_stats = stats
-        return buckets
 
     def partition_frames(
         self, frames: Iterable[tuple]
@@ -251,11 +170,13 @@ class ShardedAnalyzer:
 
         ``frames`` yields ``(data, timestamp)`` pairs (``data`` may be a
         ``memoryview`` into a reader batch; the builder copies it into the
-        shard's own contiguous buffer).  Same flow-affine placement and
-        STUN-hint replication as :meth:`partition`, but the output is what
-        the process backend actually wants to pickle: one buffer + three
-        flat arrays per ~:data:`_SHARD_BATCH_FRAMES` frames, not one object
-        per packet.  Partition accounting lands on :attr:`partition_stats`.
+        shard's own contiguous buffer).  Each frame lands on exactly one
+        home shard (flow-affine, both directions together); STUN frames are
+        additionally replicated to every other shard as detector hints.
+        The output is what the process backend wants to pickle: one buffer
+        + three flat arrays per ~:data:`_SHARD_BATCH_FRAMES` frames, not one
+        object per packet.  Partition accounting for the most recent call
+        is kept on :attr:`partition_stats`.
         """
         shards = self.shards
         builders = [FrameBatchBuilder() for _ in range(shards)]
@@ -292,23 +213,18 @@ class ShardedAnalyzer:
         return work
 
     def analyze(self, packets: Iterable[CapturedPacket]) -> AnalysisResult:
-        """Partition, run every shard, and return the merged result.
-
-        The merged result's telemetry holds the per-shard registries summed
-        (so additive counters match a single-pass run) plus the driver's own
-        ``sharded.*`` partition accounting.
-        """
-        return self._analyze_frames(
-            (packet.data, packet.timestamp) for packet in packets
-        )
+        """Partition an in-memory capture, run every shard, and merge."""
+        return self.run(packets)
 
     def run(self, source: "PacketSource") -> AnalysisResult:
         """Drain a :class:`~repro.net.source.PacketSource` across the shards.
 
-        Batch-capable sources stream :class:`FrameBatch` buffers straight
-        into the partitioner (no per-packet objects on the ingest side
-        either); scalar-only sources fall back to rewrapping parsed packets
-        as raw frames.  Also accepts a file path or plain packet iterable.
+        :class:`FrameBatch` buffers stream straight into the partitioner
+        (no per-packet objects on the ingest side).  Also accepts a file
+        path or plain packet iterable.  The merged result's telemetry holds
+        the per-shard registries summed (so additive counters match a
+        single-pass run) plus the driver's own ``sharded.*`` partition
+        accounting.
         """
         from repro.net.source import coerce_source
 
@@ -316,30 +232,12 @@ class ShardedAnalyzer:
         # counters accumulate separately and fold into the merged result.
         ingest = Telemetry(enabled=self.config.telemetry_enabled)
         source = coerce_source(source, telemetry=ingest, tolerant=self.config.tolerant)
-        frame_batches = getattr(source, "frame_batches", None)
-        if frame_batches is not None:
-            frames = (
-                frame
-                for batch in frame_batches()
-                for frame in batch.iter_frames()
-            )
-        else:
-            frames = (
-                (parsed.raw, parsed.timestamp)
-                for batch in source.batches()
-                for parsed in batch
-            )
-        result = self._analyze_frames(frames)
-        result.telemetry.merge_from(ingest)
-        return result
-
-    # ------------------------------------------------------------- internals
-
-    def _analyze_frames(self, frames: Iterable[tuple]) -> AnalysisResult:
+        frames = (
+            frame for batch in source.frame_batches() for frame in batch.iter_frames()
+        )
         work = self.partition_frames(frames)
         shard_config = self.config.shard_config()
-        shard_args = [(shard_config, batches) for batches in work]
-        results = self._run_shards(shard_args, worker=_analyze_shard_batches)
+        results = self._run_shards([(shard_config, batches) for batches in work])
         merged = AnalysisResult.merge_all(results)
         tel = merged.telemetry
         if tel.enabled:
@@ -349,19 +247,15 @@ class ShardedAnalyzer:
             tel.count("sharded.hints_replicated", stats.hints_replicated)
             tel.count("sharded.unhashable_frames", stats.unhashable_frames)
             tel.record_max("sharded.shards", self.shards)
+        merged.telemetry.merge_from(ingest)
         return merged
 
-    def _run_shards(
-        self, shard_args: Sequence[tuple], worker=_analyze_shard
-    ) -> list[AnalysisResult]:
-        if self.backend == "serial" or self.shards == 1:
-            return [worker(args) for args in shard_args]
-        if self.backend == "thread":
-            from concurrent.futures import ThreadPoolExecutor
+    # ------------------------------------------------------------- internals
 
-            with ThreadPoolExecutor(max_workers=self.shards) as pool:
-                return list(pool.map(worker, shard_args))
+    def _run_shards(self, shard_args: Sequence[tuple]) -> list[AnalysisResult]:
+        if self.backend == "serial" or self.shards == 1:
+            return [_analyze_shard(args) for args in shard_args]
         import multiprocessing
 
         with multiprocessing.Pool(processes=self.shards) as pool:
-            return pool.map(worker, shard_args)
+            return pool.map(_analyze_shard, shard_args)

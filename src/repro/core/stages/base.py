@@ -1,10 +1,11 @@
 """The stage protocol and the per-packet context that flows through it.
 
-One :class:`PacketContext` is created per captured frame and handed to each
-stage in order.  A stage reads the fields earlier stages filled in, adds its
-own, and returns ``True`` to pass the packet on or ``False`` to stop the
-pipeline for this packet (not-Zoom traffic, control packets, undecodable
-payloads — every early exit of the old monolithic ``feed_parsed``).
+One :class:`PacketContext` is created per frame that reaches the stages
+(every frame on the per-frame :meth:`~repro.core.pipeline.ZoomAnalyzer.feed`
+path, the prefilter's survivors on the batch path) and handed to each stage
+in order.  A stage reads the fields earlier stages filled in, adds its own,
+and returns ``True`` to pass the packet on or ``False`` to stop the pipeline
+for this packet (not-Zoom traffic, control packets, undecodable payloads).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ class PacketContext:
 
     Attributes (filled in as the packet advances):
         captured: The raw frame, when the packet entered via ``feed``.
-        parsed: L2–L4 decode (decode stage).
+        parsed: L2–L4 decode (decode stage; batch-path survivors arrive
+            already materialized).
         klass: Protocol classification — a member of the claiming plugin's
             class enum, e.g. ``ZoomClass`` or ``RtpClass`` (classify stage).
         plugin: The plugin that claimed the packet (classify stage).

@@ -17,8 +17,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class DecodeStage:
     """Parse the Ethernet/IP/transport layers and count every input packet.
 
-    Packets that entered the pipeline already parsed (``feed_parsed``) skip
-    the frame decode but are still counted here, so ``packets_total`` and
+    Batch-path survivors arrive already materialized
+    (:meth:`~repro.net.batch.FrameBatch.materialize`) and skip the frame
+    decode but are still counted here, so ``packets_total`` and
     ``bytes_total`` mean the same thing on either entry point.
     """
 

@@ -32,6 +32,7 @@ from pathlib import Path
 from repro.core import AnalyzerConfig, FleetConfig, FleetNodeConfig, RollingZoomAnalyzer
 from repro.fleet.manifest import save_fleet_manifest
 from repro.net.packet import CapturedPacket
+from repro.net.source import IterableSource
 from repro.service.windows import WindowAggregator
 from repro.simulation.campus import CampusTraceConfig, generate_campus_trace
 from repro.store.sink import StoreSink
@@ -161,9 +162,8 @@ def _run_node(
         on_window=(sink.write_window,),
     )
     packets.sort(key=lambda packet: packet.timestamp)
-    for packet in packets:
-        rolling.feed(packet)
-        aggregator.observe_packet(packet.timestamp, len(packet.data))
+    for batch in IterableSource(packets).frame_batches():
+        aggregator.feed_batch(batch)
     rolling.sweep(float("inf"))
     aggregator.flush(final=True)
     sink.write_meetings(rolling.result.meetings)

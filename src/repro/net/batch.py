@@ -47,7 +47,6 @@ from repro.zoom.constants import STUN_SERVER_PORT
 __all__ = [
     "FrameBatch",
     "FrameBatchBuilder",
-    "prepared_frame_batch",
     "HeaderColumns",
     "decode_columns",
     "BatchPrefilter",
@@ -74,18 +73,14 @@ _UNPACK_PORTS = struct.Struct("!HH").unpack_from  # transport src, dst
 class FrameBatch:
     """Many captured frames in one contiguous buffer + parallel columns.
 
-    ``offsets[i]``/``caplens[i]`` delimit frame *i* inside ``buffer``;
-    ``timestamps[i]`` is its capture timestamp in seconds.  ``hints[i]``
-    (optional, used by the sharder) marks frames replicated onto a shard
-    only so its detector learns the STUN binding — a hint frame must be
-    fed to :meth:`~repro.core.pipeline.ZoomAnalyzer.hint_stun`, never
-    counted as traffic.
-
-    ``prepared`` (optional) carries already-parsed packets for sources
-    that cannot expose raw frames (simulation adapters, in-memory packet
-    lists).  When set, consumers must use those objects verbatim instead
-    of re-parsing the buffer, preserving exact scalar equivalence for
-    hand-built packets that would not round-trip through the wire format.
+    The one shape every :class:`~repro.net.source.PacketSource` yields and
+    every analyzer driver consumes.  ``offsets[i]``/``caplens[i]`` delimit
+    frame *i* inside ``buffer``; ``timestamps[i]`` is its capture timestamp
+    in seconds.  ``hints[i]`` (optional, used by the sharder) marks frames
+    replicated onto a shard only so its detector learns the STUN binding —
+    a hint frame must be fed to
+    :meth:`~repro.core.pipeline.ZoomAnalyzer.hint_stun`, never counted as
+    traffic.
     """
 
     buffer: bytes | bytearray
@@ -94,47 +89,31 @@ class FrameBatch:
     timestamps: array
     total_caplen: int
     hints: array | None = None
-    prepared: list[ParsedPacket] | None = None
 
     def __len__(self) -> int:
-        if self.prepared is not None:
-            return len(self.prepared)
         return len(self.caplens)
 
     def __iter__(self) -> Iterator[ParsedPacket]:
         """Materialize every frame, in order.
 
-        Compatibility shim: a :class:`FrameBatch` can stand in wherever a
-        scalar ``list[ParsedPacket]`` batch was iterated.  Consumers that
-        want the fast path should hand the whole batch to
-        :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch` instead of
-        iterating.
+        For inspection and tests; analysis hands the whole batch to
+        :meth:`~repro.core.pipeline.ZoomAnalyzer.feed_batch`, which only
+        materializes the frames its prefilter keeps.
         """
-        if self.prepared is not None:
-            yield from self.prepared
-            return
         for index in range(len(self.caplens)):
             yield self.materialize(index)
 
     def frame(self, index: int) -> bytes:
         """The raw bytes of frame ``index`` (a copy, safe to retain)."""
-        if self.prepared is not None:
-            return self.prepared[index].raw
         start = self.offsets[index]
         return bytes(self.buffer[start : start + self.caplens[index]])
 
     def materialize(self, index: int) -> ParsedPacket:
         """Lazily dissect frame ``index`` via the unchanged scalar parser."""
-        if self.prepared is not None:
-            return self.prepared[index]
         return parse_frame(self.frame(index), self.timestamps[index])
 
     def iter_frames(self) -> Iterator[tuple]:
         """Yield ``(frame_bytes, timestamp)`` pairs without copying."""
-        if self.prepared is not None:
-            for parsed in self.prepared:
-                yield parsed.raw, parsed.timestamp
-            return
         view = memoryview(self.buffer)
         offsets = self.offsets
         caplens = self.caplens
@@ -146,36 +125,16 @@ class FrameBatch:
     @property
     def last_timestamp(self) -> float:
         """Timestamp of the final frame (0.0 for an empty batch)."""
-        if self.prepared:
-            return self.prepared[-1].timestamp
         return self.timestamps[-1] if len(self.timestamps) else 0.0
-
-
-def prepared_frame_batch(packets: Sequence[ParsedPacket]) -> FrameBatch:
-    """Wrap already-parsed packets as a :class:`FrameBatch`.
-
-    The default ``frame_batches()`` shim on scalar-only sources uses this:
-    consumers must treat ``prepared`` as authoritative (no re-parse, no
-    prefilter), which keeps hand-built packets byte-identical through the
-    batch entry points.
-    """
-    packets = list(packets)
-    return FrameBatch(
-        buffer=b"",
-        offsets=array("Q"),
-        caplens=array("I"),
-        timestamps=array("d"),
-        total_caplen=sum(len(p.raw) for p in packets),
-        prepared=packets,
-    )
 
 
 class FrameBatchBuilder:
     """Accumulates frames into a :class:`FrameBatch`.
 
     Used where frames arrive one by one (pcapng blocks, the sharding
-    repartitioner).  The pcap reader bypasses it entirely — its batches
-    alias the read chunk with zero copying.
+    repartitioner, the packet socket, in-memory and simulated sources).
+    The pcap reader bypasses it entirely — its batches alias the read
+    chunk with zero copying.
     """
 
     __slots__ = ("_buffer", "_offsets", "_caplens", "_timestamps", "_hints", "_any_hint")

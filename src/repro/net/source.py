@@ -4,8 +4,8 @@ The analyzers used to be file-shaped — every driver took a fully
 materialized ``list[CapturedPacket]``, the simulator had to serialize to
 pcap bytes before its output could be analyzed, and adding a new input kind
 meant touching every driver.  A :class:`PacketSource` is the one contract
-they all consume now: an iterator of :class:`~repro.net.packet.ParsedPacket`
-*batches* plus ingest metadata (link type, packet/byte counters, telemetry
+they all consume now: an iterator of :class:`~repro.net.batch.FrameBatch`
+buffers plus ingest metadata (link type, packet/byte counters, telemetry
 hookup).  Concrete sources:
 
 * :class:`PcapFileSource` / :class:`PcapNgFileSource` — true streaming
@@ -18,37 +18,25 @@ hookup).  Concrete sources:
 * :class:`IterableSource` — adapts an in-memory packet sequence.
 
 :func:`open_capture_source` dispatches a file to the right reader by
-sniffing magic bytes (never by filename), and the legacy list-returning
-:func:`read_capture` lives on here as a deprecated compatibility wrapper.
-A future live-socket source is one subclass away — nothing downstream of
-this module knows about files.
+sniffing magic bytes (never by filename).  The live-socket source
+(:class:`~repro.dataplane.live.LiveInterfaceSource`) is one more subclass —
+nothing downstream of this module knows about files.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-import warnings
 from dataclasses import dataclass
 from glob import glob as _glob
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
-from repro.net.batch import (
-    DEFAULT_FRAMES_PER_BATCH,
-    FrameBatch,
-    prepared_frame_batch,
-)
-from repro.net.packet import CapturedPacket, ParsedPacket, parse_frame
+from repro.net.batch import DEFAULT_FRAMES_PER_BATCH, FrameBatch, FrameBatchBuilder
+from repro.net.packet import CapturedPacket, ParsedPacket
 from repro.net.pcap import LINKTYPE_ETHERNET, MAGIC_MICROS, MAGIC_NANOS, PcapReader
 from repro.net.pcapng import BLOCK_SHB, PcapngReader, PcapngResumeState
 from repro.telemetry.registry import Telemetry
-
-#: Default number of parsed packets per yielded batch.  Large enough to
-#: amortize generator overhead on the hot path, small enough that a source
-#: never holds more than a few hundred frames of a multi-gigabyte capture.
-DEFAULT_BATCH_SIZE = 256
-
 
 @dataclass(frozen=True, slots=True)
 class CaptureResume:
@@ -73,23 +61,20 @@ class CaptureResume:
 class PacketSource(Protocol):
     """What every ingestion backend provides to the analyzers.
 
-    A source is a *single-use* iterator of :class:`ParsedPacket` batches —
-    time-ordered within the source — plus the metadata the drivers and
-    telemetry need: the link type, running packet/byte counters, and an
-    optional :class:`~repro.telemetry.Telemetry` registry the source
-    records ``capture.*`` / ``ingest.*`` counters into.
+    A source is a *single-use* iterator of
+    :class:`~repro.net.batch.FrameBatch` buffers — time-ordered within the
+    source — plus the metadata the drivers and telemetry need: the link
+    type, running packet/byte counters, and an optional
+    :class:`~repro.telemetry.Telemetry` registry the source records
+    ``capture.*`` / ``ingest.*`` counters into.
     """
 
     linktype: int
     packets_emitted: int
     bytes_emitted: int
 
-    def batches(self) -> Iterator[Sequence[ParsedPacket]]:
-        """Yield time-ordered batches of parsed packets."""
-        ...
-
-    def __iter__(self) -> Iterator[ParsedPacket]:
-        """Yield individual parsed packets (a flattened :meth:`batches`)."""
+    def frame_batches(self) -> Iterator[FrameBatch]:
+        """Yield time-ordered batches of raw frames."""
         ...
 
     def close(self) -> None:
@@ -100,8 +85,11 @@ class PacketSource(Protocol):
 class PacketSourceBase:
     """Shared machinery: batching, counters, context management.
 
-    Subclasses implement :meth:`_packets`, an iterator of parsed packets;
-    the base class handles batching and the emitted-packet accounting the
+    Sources with a native batch reader (the capture files, the packet
+    socket) override :meth:`frame_batches`; the rest implement
+    :meth:`_frames`, an iterator of ``(frame_bytes, timestamp)`` pairs that
+    the base class packs into :class:`FrameBatch` buffers of
+    ``batch_size`` frames, keeping the emitted-packet accounting the
     :class:`PacketSource` protocol promises.
     """
 
@@ -111,7 +99,7 @@ class PacketSourceBase:
         self,
         *,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -120,7 +108,7 @@ class PacketSourceBase:
         self.packets_emitted = 0
         self.bytes_emitted = 0
 
-    def _packets(self) -> Iterator[ParsedPacket]:
+    def _frames(self) -> Iterator[tuple]:
         raise NotImplementedError
 
     def attach_telemetry(self, telemetry: Telemetry) -> None:
@@ -138,48 +126,21 @@ class PacketSourceBase:
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         """Hand the adopted registry to wrapped readers/children."""
 
-    def _frames_per_batch(self) -> int:
-        """Frame count for raw :class:`FrameBatch` reads.
-
-        An explicitly tuned ``batch_size`` (resume granularity for the
-        tailer, memory ceilings) is honored on the batch path too; the
-        untouched default upgrades to the larger
-        :data:`~repro.net.batch.DEFAULT_FRAMES_PER_BATCH`, since batch
-        reads amortize so much better.
-        """
-        if self._batch_size != DEFAULT_BATCH_SIZE:
-            return self._batch_size
-        return DEFAULT_FRAMES_PER_BATCH
-
-    def batches(self) -> Iterator[list[ParsedPacket]]:
-        batch: list[ParsedPacket] = []
-        for parsed in self._packets():
-            self.packets_emitted += 1
-            self.bytes_emitted += len(parsed.raw)
-            batch.append(parsed)
-            if len(batch) >= self._batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
     def frame_batches(self) -> Iterator[FrameBatch]:
-        """Yield :class:`~repro.net.batch.FrameBatch` groups.
+        """Yield :class:`~repro.net.batch.FrameBatch` groups of ``batch_size``."""
+        builder = FrameBatchBuilder()
+        for frame, timestamp in self._frames():
+            builder.append(frame, timestamp)
+            if len(builder) >= self._batch_size:
+                yield self._emit(builder.build())
+        if len(builder):
+            yield self._emit(builder.build())
 
-        The default shim packs scalar reads, carrying the parsed packets in
-        ``FrameBatch.prepared`` so batch consumers feed *exactly* the
-        objects the scalar path would have produced — hand-built packets
-        (simulation adapters, in-memory lists) that would not round-trip
-        through a wire-format re-parse stay byte-identical.  File sources
-        override this with true raw-buffer batches that enable the columnar
-        decode fast path.
-        """
-        for batch in self.batches():
-            yield prepared_frame_batch(batch)
-
-    def __iter__(self) -> Iterator[ParsedPacket]:
-        for batch in self.batches():
-            yield from batch
+    def _emit(self, batch: FrameBatch) -> FrameBatch:
+        """Count ``batch`` as handed to the consumer; returns it."""
+        self.packets_emitted += len(batch)
+        self.bytes_emitted += batch.total_caplen
+        return batch
 
     def close(self) -> None:  # overridden where a file is held
         pass
@@ -205,7 +166,7 @@ class PcapFileSource(PacketSourceBase):
         *,
         telemetry: Telemetry | None = None,
         tolerant: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
         resume: CaptureResume | None = None,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
@@ -229,16 +190,10 @@ class PcapFileSource(PacketSourceBase):
             packets=self._resumed_packets + self.packets_emitted,
         )
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        for captured in self._reader:
-            yield parse_frame(captured.data, captured.timestamp)
-
     def frame_batches(self) -> Iterator[FrameBatch]:
         """Raw-buffer batches straight off the reader — the fast path."""
-        for batch in self._reader.read_batches(self._frames_per_batch()):
-            self.packets_emitted += len(batch)
-            self.bytes_emitted += batch.total_caplen
-            yield batch
+        for batch in self._reader.read_batches(self._batch_size):
+            yield self._emit(batch)
 
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         self._reader._telemetry = telemetry
@@ -256,7 +211,7 @@ class PcapNgFileSource(PacketSourceBase):
         *,
         telemetry: Telemetry | None = None,
         tolerant: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
         resume: CaptureResume | None = None,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
@@ -287,16 +242,10 @@ class PcapNgFileSource(PacketSourceBase):
             interfaces=state.interfaces,
         )
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        for captured in self._reader:
-            yield parse_frame(captured.data, captured.timestamp)
-
     def frame_batches(self) -> Iterator[FrameBatch]:
         """Raw-buffer batches straight off the reader — the fast path."""
-        for batch in self._reader.read_batches(self._frames_per_batch()):
-            self.packets_emitted += len(batch)
-            self.bytes_emitted += batch.total_caplen
-            yield batch
+        for batch in self._reader.read_batches(self._batch_size):
+            yield self._emit(batch)
 
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         self._reader._telemetry = telemetry
@@ -309,7 +258,8 @@ class IterableSource(PacketSourceBase):
     """Adapt an in-memory sequence of packets to the source protocol.
 
     Accepts :class:`CapturedPacket` or already-parsed :class:`ParsedPacket`
-    items (mixed is fine); raw frames are decoded on the way through.
+    items (mixed is fine); either is packed back into raw frame batches,
+    which is lossless because a parsed packet keeps its whole frame.
     """
 
     def __init__(
@@ -317,17 +267,17 @@ class IterableSource(PacketSourceBase):
         packets: Iterable[CapturedPacket | ParsedPacket],
         *,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         self._items = packets
 
-    def _packets(self) -> Iterator[ParsedPacket]:
+    def _frames(self) -> Iterator[tuple]:
         for item in self._items:
             if isinstance(item, ParsedPacket):
-                yield item
+                yield item.raw, item.timestamp
             else:
-                yield parse_frame(item.data, item.timestamp)
+                yield item.data, item.timestamp
 
 
 class SimulationSource(PacketSourceBase):
@@ -351,18 +301,18 @@ class SimulationSource(PacketSourceBase):
         *,
         timestamp_resolution: float | None = 1e-9,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         self._scenario = scenario
         self._resolution = timestamp_resolution
 
-    def _packets(self) -> Iterator[ParsedPacket]:
+    def _frames(self) -> Iterator[tuple]:
         # Imported lazily: repro.simulation sits above repro.net in the
         # layering and importing it here at module scope would be circular.
-        from repro.simulation.adapter import parsed_packets
+        from repro.simulation.adapter import scenario_frames
 
-        yield from parsed_packets(
+        yield from scenario_frames(
             self._scenario,
             timestamp_resolution=self._resolution,
             telemetry=self._telemetry,
@@ -388,7 +338,7 @@ class CaptureDirectorySource(PacketSourceBase):
         pattern: str = "*.pcap*",
         telemetry: Telemetry | None = None,
         tolerant: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         self._tolerant = tolerant
@@ -419,21 +369,6 @@ class CaptureDirectorySource(PacketSourceBase):
         )
         self._open: PacketSourceBase | None = None
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        for path in self.files:
-            self._open = open_capture_source(
-                path,
-                telemetry=self._telemetry,
-                tolerant=self._tolerant,
-                batch_size=self._batch_size,
-            )
-            self._telemetry.count("ingest.files")
-            try:
-                yield from self._open
-            finally:
-                self._open.close()
-                self._open = None
-
     def frame_batches(self) -> Iterator[FrameBatch]:
         """Raw-buffer batches, file by file in first-timestamp order."""
         for path in self.files:
@@ -446,9 +381,7 @@ class CaptureDirectorySource(PacketSourceBase):
             self._telemetry.count("ingest.files")
             try:
                 for batch in self._open.frame_batches():
-                    self.packets_emitted += len(batch)
-                    self.bytes_emitted += batch.total_caplen
-                    yield batch
+                    yield self._emit(batch)
             finally:
                 self._open.close()
                 self._open = None
@@ -463,15 +396,15 @@ class InterleavedSource(PacketSourceBase):
     """Compose sources by k-way merging on capture timestamp.
 
     Each input must itself be time-ordered (every source here is); the
-    merge is a heap over one head packet per input, so composing k live
-    taps costs O(log k) per packet and holds k packets of state.
+    merge is a heap over one head frame per input, so composing k live
+    taps costs O(log k) per frame and holds one batch per input.
     """
 
     def __init__(
         self,
         *sources: PacketSource,
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         super().__init__(telemetry=telemetry, batch_size=batch_size)
         if not sources:
@@ -479,8 +412,11 @@ class InterleavedSource(PacketSourceBase):
         self.sources: tuple[PacketSource, ...] = sources
         self._telemetry.count("ingest.sources", len(sources))
 
-    def _packets(self) -> Iterator[ParsedPacket]:
-        yield from heapq.merge(*self.sources, key=lambda p: p.timestamp)
+    def _frames(self) -> Iterator[tuple]:
+        yield from heapq.merge(
+            *(_source_frames(source) for source in self.sources),
+            key=lambda frame: frame[1],
+        )
 
     def _propagate_telemetry(self, telemetry: Telemetry) -> None:
         for source in self.sources:
@@ -522,7 +458,7 @@ def open_capture_source(
     *,
     telemetry: Telemetry | None = None,
     tolerant: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     resume: CaptureResume | None = None,
 ) -> PcapFileSource | PcapNgFileSource:
     """Open one capture file with the reader its magic bytes call for.
@@ -546,32 +482,6 @@ def open_capture_source(
     )
 
 
-def read_capture(
-    path: str | Path,
-    *,
-    telemetry: Telemetry | None = None,
-    tolerant: bool = False,
-) -> list[CapturedPacket]:
-    """Deprecated: read a whole capture (either format) into a list.
-
-    Kept for compatibility (historically exported from
-    :mod:`repro.net.pcapng`); it materializes the entire file.  Stream with
-    :func:`open_capture_source` instead.
-    """
-    warnings.warn(
-        "read_capture() materializes the whole capture; "
-        "use repro.net.source.open_capture_source() for streaming ingestion",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    with open_capture_source(path, telemetry=telemetry, tolerant=tolerant) as source:
-        return [
-            CapturedPacket(parsed.timestamp, parsed.raw)
-            for batch in source.batches()
-            for parsed in batch
-        ]
-
-
 # --------------------------------------------------------------- internals
 
 
@@ -581,13 +491,16 @@ def _has_magic(text: str) -> bool:
 
 def _first_capture_timestamp(path: Path) -> float:
     """Peek one packet for file ordering; empty files sort last."""
-    peek = open_capture_source(path)
-    try:
-        for parsed in peek:
-            return parsed.timestamp
+    with open_capture_source(path, batch_size=1) as peek:
+        for batch in peek.frame_batches():
+            return batch.timestamps[0]
         return float("inf")
-    finally:
-        peek.close()
+
+
+def _source_frames(source: PacketSource) -> Iterator[tuple]:
+    """A source's ``(frame_bytes, timestamp)`` pairs, batch by batch."""
+    for batch in source.frame_batches():
+        yield from batch.iter_frames()
 
 
 def coerce_source(
@@ -595,7 +508,7 @@ def coerce_source(
     *,
     telemetry: Telemetry | None = None,
     tolerant: bool = False,
-    batch_size: int = DEFAULT_BATCH_SIZE,
+    batch_size: int = DEFAULT_FRAMES_PER_BATCH,
 ) -> PacketSource:
     """Normalize the ``source`` argument the drivers accept.
 
@@ -607,7 +520,7 @@ def coerce_source(
         return open_capture_source(
             source, telemetry=telemetry, tolerant=tolerant, batch_size=batch_size
         )
-    if hasattr(source, "batches"):  # already a PacketSource
+    if hasattr(source, "frame_batches"):  # already a PacketSource
         if telemetry is not None and hasattr(source, "attach_telemetry"):
             source.attach_telemetry(telemetry)
         return source

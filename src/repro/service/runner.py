@@ -222,7 +222,7 @@ class ZoomMonitorService:
         )
         for name in seeds:
             self.telemetry.count(name, 0)
-        self._queue: queue.Queue[list] = queue.Queue(maxsize=config.queue_max_batches)
+        self._queue: queue.Queue[FrameBatch] = queue.Queue(maxsize=config.queue_max_batches)
         self._stop = threading.Event()
         self._ready = False
         self._flushed = False
@@ -326,7 +326,7 @@ class ZoomMonitorService:
                 return
             self._stop.wait(self.config.poll_interval)
 
-    def _enqueue(self, batch: list) -> None:
+    def _enqueue(self, batch: FrameBatch) -> None:
         try:
             self._queue.put_nowait(batch)
         except queue.Full:
@@ -349,36 +349,9 @@ class ZoomMonitorService:
                 continue
             self._process(batch)
 
-    def _process(self, batch) -> None:
-        rolling = self.rolling
-        aggregator = self.aggregator
-        if isinstance(batch, FrameBatch) and len(batch):
-            # Vectorized path: volume accounting reads the batch's
-            # timestamp/caplen columns, then the analyzer takes the whole
-            # batch (columnar decode + prefilter) — no ParsedPacket is
-            # built for frames the prefilter drops.  Ordering matters:
-            # volume first *without* moving the watermark, then the feed
-            # (whose stream events must land in still-open windows), then
-            # one explicit watermark advance to the batch's end.  Both
-            # window totals and per-window stream stats stay exact; windows
-            # just close at batch rather than packet granularity.
-            prepared = batch.prepared
-            if prepared is not None:
-                for parsed in prepared:
-                    aggregator.observe_volume(parsed.timestamp, len(parsed.raw))
-            else:
-                timestamps = batch.timestamps
-                caplens = batch.caplens
-                for i in range(len(caplens)):
-                    aggregator.observe_volume(timestamps[i], caplens[i])
-            rolling.feed_batch(batch)
-            aggregator.advance_watermark(batch.last_timestamp)
-            self.packets_processed += len(batch)
-            return
-        for parsed in batch:
-            rolling.feed_parsed(parsed)
-            aggregator.observe_packet(parsed.timestamp, len(parsed.raw))
-            self.packets_processed += 1
+    def _process(self, batch: FrameBatch) -> None:
+        self.aggregator.feed_batch(batch)
+        self.packets_processed += len(batch)
 
     def _shutdown(self) -> None:
         """Drain, final sweep, close windows exactly once, stop exporters."""

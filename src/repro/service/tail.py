@@ -28,9 +28,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from repro.net.batch import FrameBatch
-from repro.net.packet import ParsedPacket
-from repro.net.source import DEFAULT_BATCH_SIZE, CaptureResume, open_capture_source
+from repro.net.batch import DEFAULT_FRAMES_PER_BATCH, FrameBatch
+from repro.net.source import CaptureResume, open_capture_source
 from repro.telemetry.registry import Telemetry
 
 
@@ -42,7 +41,7 @@ class CaptureDirectoryTailer:
         pattern: Glob selecting capture files inside it.
         telemetry: Optional registry; the tailer records ``ingest.tail.*``
             counters and the underlying readers record ``capture.*``.
-        batch_size: Packets per yielded batch (the source-layer default).
+        batch_size: Frames per yielded batch.
 
     Attributes:
         packets_emitted / bytes_emitted: Running totals across all polls.
@@ -54,7 +53,7 @@ class CaptureDirectoryTailer:
         *,
         pattern: str = "*.pcap*",
         telemetry: Telemetry | None = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_FRAMES_PER_BATCH,
     ) -> None:
         self._directory = Path(directory)
         self._pattern = pattern
@@ -65,16 +64,15 @@ class CaptureDirectoryTailer:
         self.bytes_emitted = 0
         self.polls = 0
 
-    def poll(self) -> Iterator["FrameBatch | list[ParsedPacket]"]:
+    def poll(self) -> Iterator[FrameBatch]:
         """One pass over the directory; yields batches of *new* packets.
 
-        Batches are raw :class:`~repro.net.batch.FrameBatch` buffers when
-        the underlying source supports them (file-backed captures do);
-        iterating a batch still yields :class:`ParsedPacket` objects, so
-        scalar consumers keep working, while the service runner hands whole
-        batches to the analyzer's vectorized path.  Files are visited in
-        name order — rotation schemes number their files monotonically, and
-        per-file resume makes the order a presentation detail rather than a
+        Batches are raw :class:`~repro.net.batch.FrameBatch` buffers, which
+        the service runner hands whole to the analyzer's vectorized path.
+        Batch boundaries are record boundaries, so the resume contract
+        below holds at every hand-off.  Files are visited in name order —
+        rotation schemes number their files monotonically, and per-file
+        resume makes the order a presentation detail rather than a
         correctness one.
         """
         tel = self._telemetry
@@ -91,7 +89,7 @@ class CaptureDirectoryTailer:
 
     # ------------------------------------------------------------- internals
 
-    def _drain_file(self, path: Path) -> Iterator["FrameBatch | list[ParsedPacket]"]:
+    def _drain_file(self, path: Path) -> Iterator[FrameBatch]:
         tel = self._telemetry
         token = self._positions.get(path)
         if token is not None:
@@ -132,19 +130,9 @@ class CaptureDirectoryTailer:
         else:
             tel.count("ingest.tail.resumed")
         try:
-            # Raw FrameBatch buffers when the source can produce them
-            # (file-backed captures always can): the consumer gets the
-            # columnar fast path, and batch boundaries are still record
-            # boundaries, so the resume contract below is unchanged.
-            frame_batches = getattr(source, "frame_batches", None)
-            batches = frame_batches() if frame_batches is not None else source.batches()
-            for batch in batches:
+            for batch in source.frame_batches():
                 self.packets_emitted += len(batch)
-                self.bytes_emitted += (
-                    batch.total_caplen
-                    if isinstance(batch, FrameBatch)
-                    else sum(len(p.raw) for p in batch)
-                )
+                self.bytes_emitted += batch.total_caplen
                 tel.count("ingest.tail.packets", len(batch))
                 # Position saved before the hand-off: when a batch yields,
                 # the reader sits exactly at its end, so even a consumer

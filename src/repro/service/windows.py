@@ -3,9 +3,10 @@
 The rolling analyzer answers "what happened since the process started"; an
 operator dashboard needs "what happened in the last N seconds".
 :class:`WindowAggregator` is an :class:`~repro.core.events.AnalysisSink`
-that folds stream/meeting events — plus a per-packet feed from the
-supervisor for whole-traffic totals — into tumbling windows of
-*capture time*, each summarizing per-media-type traffic and quality.
+that folds stream/meeting events — plus the volume of every frame the
+supervisor feeds through :meth:`WindowAggregator.feed_batch`, for
+whole-traffic totals — into tumbling windows of *capture time*, each
+summarizing per-media-type traffic and quality.
 
 Window lifecycle is watermark-based, the standard trick for out-of-order
 tolerance with bounded state: the watermark trails the newest event
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.core.events import (
     AnalysisSink,
@@ -41,6 +42,9 @@ from repro.core.rolling import FinalizedStream, RollingZoomAnalyzer
 from repro.core.streams import StreamKey
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZoomMediaType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.batch import FrameBatch
 
 _MEDIA_NAMES = {
     int(ZoomMediaType.AUDIO): "audio",
@@ -182,26 +186,35 @@ class WindowAggregator(AnalysisSink):
 
     # ----------------------------------------------------------- ingestion
 
-    def observe_packet(self, timestamp: float, raw_len: int) -> None:
-        """Per-packet feed from the supervisor (all traffic, not just Zoom).
+    def feed_batch(self, batch: "FrameBatch") -> None:
+        """Feed one batch to the rolling analyzer with window accounting.
 
-        This is what makes a window's ``packets_total``/``bytes_total``
-        exact — the event bus only ever sees Zoom-classified packets.
+        The one ingest order every batch-feeding caller uses: the batch's
+        volume first *without* moving the watermark, then the analyzer feed
+        (whose stream events must land in still-open windows), then one
+        watermark advance to the batch's end.  Window totals and
+        per-window stream stats stay exact; windows just close at batch
+        rather than packet granularity.
         """
-        window = self._window_for(timestamp)
-        if window is None:
+        if not len(batch):
             return
-        window.packets_total += 1
-        window.bytes_total += raw_len
-        self._advance_watermark(timestamp)
+        observe = self.observe_volume
+        timestamps = batch.timestamps
+        caplens = batch.caplens
+        for i in range(len(caplens)):
+            observe(timestamps[i], caplens[i])
+        self._rolling.feed_batch(batch)
+        self.advance_watermark(batch.last_timestamp)
 
     def observe_volume(self, timestamp: float, raw_len: int) -> None:
-        """Like :meth:`observe_packet`, but without advancing the watermark.
+        """Count one frame of any traffic into its window's totals.
 
-        The batch-feeding supervisor accounts a whole batch's volume before
-        the analyzer has produced the batch's stream events; advancing the
-        watermark here would close windows those events still need.  The
-        caller pairs this with :meth:`advance_watermark` after the feed.
+        This is what makes a window's ``packets_total``/``bytes_total``
+        exact — the event bus only ever sees Zoom-classified packets.  The
+        watermark does not move: :meth:`feed_batch` accounts a whole
+        batch's volume before the analyzer has produced the batch's stream
+        events, and advancing it here would close windows those events
+        still need.
         """
         window = self._window_for(timestamp)
         if window is None:

@@ -3,10 +3,10 @@
 Historically the only interchange between the emulator and the analyzer was
 a pcap file — every simulated study paid a serialize/deserialize round trip
 just to move in-memory frames between two modules of the same process.
-This adapter emits :class:`~repro.net.packet.CapturedPacket` /
-:class:`~repro.net.packet.ParsedPacket` records directly from any simulation
-scenario, with optional timestamp quantization that reproduces the pcap
-writer's nanosecond rounding, so a direct feed is *bit-identical* to the
+This adapter emits :class:`~repro.net.packet.CapturedPacket` records and
+raw ``(frame, timestamp)`` pairs directly from any simulation scenario,
+with optional timestamp quantization that reproduces the pcap writer's
+nanosecond rounding, so a direct feed is *bit-identical* to the
 write-then-read path (the equivalence the source-layer tests assert).
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.net.packet import CapturedPacket, ParsedPacket, parse_frame
+from repro.net.packet import CapturedPacket
 from repro.telemetry.registry import Telemetry
 
 #: Simulation scenario: anything that can produce captured frames.
@@ -65,13 +65,14 @@ def captured_packets(scenario: object) -> Iterator[CapturedPacket]:
     raise TypeError(f"cannot emit packets from {type(scenario).__name__}")
 
 
-def parsed_packets(
+def scenario_frames(
     scenario: object,
     *,
     timestamp_resolution: float | None = 1e-9,
     telemetry: Telemetry | None = None,
-) -> Iterator[ParsedPacket]:
-    """Decode a scenario's frames as the analyzer would see them off disk.
+) -> Iterator[tuple[bytes, float]]:
+    """A scenario's ``(frame_bytes, timestamp)`` pairs as a capture file
+    would hold them.
 
     Args:
         scenario: Any form accepted by :func:`captured_packets`.
@@ -89,4 +90,4 @@ def parsed_packets(
             timestamp = quantize_timestamp(timestamp, timestamp_resolution)
         tel.count("capture.frames")
         tel.count("capture.bytes", len(captured.data))
-        yield parse_frame(captured.data, timestamp)
+        yield captured.data, timestamp

@@ -216,7 +216,14 @@ def _segment_may_match(info: "SegmentInfo", query: StoreQuery) -> bool:
         and query.meeting_id not in info.meetings
     ):
         return False
-    if query.media is not None and info.media and query.media not in info.media:
+    # Only stream and window records are filtered by media (see _match); a
+    # query that also asks for meetings must still read their segments.
+    if (
+        query.media is not None
+        and info.media
+        and query.media not in info.media
+        and all(kind in ("stream", "window") for kind in query.kinds)
+    ):
         return False
     return True
 

@@ -185,10 +185,14 @@ class TestFilter:
         assert main([
             "filter", str(meeting_pcap), str(out_path), "--anonymize", "secret-key",
         ]) == 0
-        from repro.net.packet import parse_frame
-        from repro.net.pcap import read_pcap
+        from itertools import islice
 
-        for packet in read_pcap(out_path)[:20]:
+        from repro.net.packet import parse_frame
+        from repro.net.pcap import PcapReader
+
+        with PcapReader(out_path) as reader:
+            packets = list(islice(reader, 20))
+        for packet in packets:
             parsed = parse_frame(packet.data)
             if parsed.src_ip:
                 assert not parsed.src_ip.startswith("198.18.")

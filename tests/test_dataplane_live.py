@@ -16,7 +16,7 @@ from repro.dataplane import (
     open_packet_socket,
 )
 from repro.dataplane.compiler import CaptureRules, compile_cbpf
-from repro.net.batch import BatchPrefilter
+from repro.net.batch import DEFAULT_FRAMES_PER_BATCH, BatchPrefilter
 from repro.net.packet import CapturedPacket, build_udp_frame
 from repro.net.pcap import PcapWriter
 from repro.rtp.stun import StunMessage
@@ -294,11 +294,14 @@ class TestCliParsing:
         args = build_parser().parse_args(["analyze-live", "--interface", "sim:/x.pcap"])
         assert args.directory is None
         assert args.interface == "sim:/x.pcap"
-        assert args.batch_size == 256
+        assert args.batch_size == DEFAULT_FRAMES_PER_BATCH
 
     def test_batch_size_flags(self):
         from repro.cli import build_parser
 
+        args = build_parser().parse_args(["analyze", "x.pcap"])
+        assert args.batch_size == DEFAULT_FRAMES_PER_BATCH
+        assert AnalyzerConfig().batch_size == DEFAULT_FRAMES_PER_BATCH
         args = build_parser().parse_args(["analyze", "x.pcap", "--batch-size", "64"])
         assert args.batch_size == 64
         args = build_parser().parse_args(["analyze-live", "d", "--batch-size", "1024"])

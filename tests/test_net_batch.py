@@ -17,12 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AnalyzerConfig, ZoomAnalyzer
-from repro.net.batch import (
-    BatchPrefilter,
-    FrameBatchBuilder,
-    decode_columns,
-    prepared_frame_batch,
-)
+from repro.net.batch import BatchPrefilter, FrameBatchBuilder, decode_columns
 from repro.net.packet import CapturedPacket, build_udp_frame, parse_frame
 from repro.net.pcap import PcapReader, PcapWriter
 from repro.net.pcapng import PcapngReader, PcapngWriter
@@ -369,15 +364,6 @@ class TestFeedBatchEquivalence:
         snapshot = batched.telemetry_snapshot()
         assert snapshot.counter("prefilter.dropped") > 0
         assert snapshot.counter("prefilter.passed") > 0
-
-    def test_prepared_batches_preserve_objects(self):
-        packets = [
-            parse_frame(p.data, p.timestamp) for p in _mixed_frames(10)
-        ]
-        batch = prepared_frame_batch(packets)
-        assert list(batch) == packets
-        assert batch.materialize(3) is packets[3]
-        assert len(batch) == 10
 
     @given(
         st.lists(

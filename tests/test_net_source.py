@@ -24,12 +24,12 @@ from repro.net.source import (
     SimulationSource,
     coerce_source,
     open_capture_source,
-    read_capture,
     sniff_capture_format,
 )
 from repro.net.pcapng import PcapngWriter
 from repro.simulation import MeetingConfig, MeetingSimulator, ParticipantConfig
 from repro.telemetry import Telemetry
+from tests.frames import source_packets
 
 
 def _meeting_packets(seed=7, duration=4.0, participants=2):
@@ -66,7 +66,7 @@ class TestPcapFileSource:
 
     def test_yields_parsed_packets_in_order(self, pcap_path, captures):
         with PcapFileSource(pcap_path) as source:
-            parsed = list(source)
+            parsed = source_packets(source)
         assert len(parsed) == len(captures)
         assert all(isinstance(p, ParsedPacket) for p in parsed)
         timestamps = [p.timestamp for p in parsed]
@@ -74,16 +74,26 @@ class TestPcapFileSource:
 
     def test_counters_track_emission(self, pcap_path, captures):
         with PcapFileSource(pcap_path) as source:
-            list(source)
+            source_packets(source)
             assert source.packets_emitted == len(captures)
             assert source.bytes_emitted == sum(len(c.data) for c in captures)
 
-    def test_streaming_yields_before_eof(self, pcap_path):
+    def test_streaming_yields_before_eof(self, tmp_path, captures):
         """The reader must hand over the first batch with most of the file
-        still unread — the memory-boundedness contract."""
-        size = pcap_path.stat().st_size
-        with PcapFileSource(pcap_path, batch_size=4) as source:
-            first = next(source.batches())
+        still unread — the memory-boundedness contract.  Batches are cut
+        from one read chunk (1 MiB), so the file spans several chunks."""
+        path = tmp_path / "long.pcap"
+        write_pcap(
+            path,
+            [
+                CapturedPacket(c.timestamp + 10.0 * lap, c.data)
+                for lap in range(3)
+                for c in captures
+            ],
+        )
+        size = path.stat().st_size
+        with PcapFileSource(path, batch_size=4) as source:
+            first = next(source.frame_batches())
             assert len(first) == 4
             assert source.packets_emitted == 4
             consumed = source._reader._file.tell()
@@ -93,10 +103,22 @@ class TestPcapFileSource:
         with pytest.raises(ValueError):
             PcapFileSource(pcap_path, batch_size=0)
 
+    @pytest.mark.parametrize("batch_size", [255, 256, 257])
+    def test_batch_size_honoured_exactly(self, pcap_path, captures, batch_size):
+        """``batch_size`` caps every batch and is what the first batch
+        holds — no value is treated as "unset" and swapped for another.
+        (A batch may end early where the reader's 1 MiB read chunk ends.)"""
+        assert len(captures) > 2 * batch_size
+        with PcapFileSource(pcap_path, batch_size=batch_size) as source:
+            lengths = [len(batch) for batch in source.frame_batches()]
+        assert lengths[0] == batch_size
+        assert max(lengths) == batch_size
+        assert sum(lengths) == len(captures)
+
     def test_telemetry_records_capture_counters(self, pcap_path, captures):
         telemetry = Telemetry(enabled=True)
         with PcapFileSource(pcap_path, telemetry=telemetry) as source:
-            list(source)
+            source_packets(source)
         counters = telemetry.snapshot().counters
         assert counters["capture.frames"] == len(captures)
         assert counters["capture.bytes"] == sum(len(c.data) for c in captures)
@@ -106,7 +128,7 @@ class TestPcapFileSource:
         registry = Telemetry(enabled=True)
         source.attach_telemetry(registry)
         with source:
-            list(source)
+            source_packets(source)
         assert registry.snapshot().counters["capture.frames"] > 0
 
     def test_attach_telemetry_keeps_explicit_registry(self, pcap_path):
@@ -115,7 +137,7 @@ class TestPcapFileSource:
         other = Telemetry(enabled=True)
         source.attach_telemetry(other)
         with source:
-            list(source)
+            source_packets(source)
         assert mine.snapshot().counters["capture.frames"] > 0
         assert "capture.frames" not in other.snapshot().counters
 
@@ -128,7 +150,7 @@ class TestIterableSource:
             parse_frame(c.data, c.timestamp) if i % 2 else c
             for i, c in enumerate(captures[:10])
         ]
-        parsed = list(IterableSource(mixed))
+        parsed = source_packets(IterableSource(mixed))
         assert [p.timestamp for p in parsed] == [c.timestamp for c in captures[:10]]
 
     def test_never_materializes_the_iterator(self, captures):
@@ -138,7 +160,7 @@ class TestIterableSource:
             CapturedPacket(float(i), frame.data) for i in itertools.count()
         )
         source = IterableSource(endless, batch_size=16)
-        first = next(source.batches())
+        first = next(source.frame_batches())
         assert len(first) == 16
         assert source.packets_emitted == 16
 
@@ -146,14 +168,14 @@ class TestIterableSource:
 class TestSimulationSource:
     def test_emits_quantized_stream(self, captures):
         source = SimulationSource(captures)
-        parsed = list(source)
+        parsed = source_packets(source)
         assert len(parsed) == len(captures)
         assert source.packets_emitted == len(captures)
 
     def test_matches_pcap_roundtrip_timestamps(self, pcap_path, captures):
         with PcapFileSource(pcap_path) as file_source:
-            file_ts = [p.timestamp for p in file_source]
-        sim_ts = [p.timestamp for p in SimulationSource(captures)]
+            file_ts = [p.timestamp for p in source_packets(file_source)]
+        sim_ts = [p.timestamp for p in source_packets(SimulationSource(captures))]
         assert sim_ts == file_ts
 
 
@@ -172,7 +194,7 @@ class TestCaptureDirectorySource:
         directory, per_file = rotated_dir
         source = CaptureDirectorySource(directory)
         assert [p.name for p in source.files] == ["zz.pcap", "aa.pcap"]
-        timestamps = [p.timestamp for p in source]
+        timestamps = [p.timestamp for p in source_packets(source)]
         assert timestamps == sorted(timestamps)
         assert source.packets_emitted == 2 * per_file
 
@@ -204,7 +226,7 @@ class TestCaptureDirectorySource:
     def test_counts_ingest_files(self, rotated_dir):
         directory, _ = rotated_dir
         telemetry = Telemetry(enabled=True)
-        list(CaptureDirectorySource(directory, telemetry=telemetry))
+        source_packets(CaptureDirectorySource(directory, telemetry=telemetry))
         assert telemetry.snapshot().counters["ingest.files"] == 2
 
     def test_empty_glob_raises(self, tmp_path):
@@ -220,7 +242,7 @@ class TestInterleavedSource:
     def test_merges_by_timestamp(self, captures):
         evens = IterableSource(captures[0::2])
         odds = IterableSource(captures[1::2])
-        merged = list(InterleavedSource(evens, odds))
+        merged = source_packets(InterleavedSource(evens, odds))
         assert len(merged) == len(captures)
         timestamps = [p.timestamp for p in merged]
         assert timestamps == sorted(timestamps)
@@ -232,7 +254,7 @@ class TestInterleavedSource:
             IterableSource(captures[5:10]),
             telemetry=telemetry,
         )
-        list(source)
+        source_packets(source)
         assert telemetry.snapshot().counters["ingest.sources"] == 2
 
     def test_requires_at_least_one_source(self):
@@ -253,7 +275,7 @@ class TestFormatSniffing:
         assert sniff_capture_format(path) == "pcapng"
         source = open_capture_source(path)
         assert isinstance(source, PcapNgFileSource)
-        assert len(list(source)) == 20
+        assert len(source_packets(source)) == 20
 
     def test_nanosecond_magic_detected(self, tmp_path):
         path = tmp_path / "nanos.pcap"
@@ -283,7 +305,7 @@ class TestCoerceSource:
     def test_iterable_wrapped(self, captures):
         source = coerce_source(captures[:5])
         assert isinstance(source, IterableSource)
-        assert len(list(source)) == 5
+        assert len(source_packets(source)) == 5
 
     def test_source_passes_through(self, pcap_path):
         original = PcapFileSource(pcap_path)
@@ -294,20 +316,9 @@ class TestCoerceSource:
         registry = Telemetry(enabled=True)
         source = coerce_source(PcapFileSource(pcap_path), telemetry=registry)
         with source:
-            list(source)
+            source_packets(source)
         assert registry.snapshot().counters["capture.frames"] > 0
 
     def test_rejects_non_source(self):
         with pytest.raises(TypeError):
             coerce_source(42)
-
-
-class TestReadCaptureCompat:
-    def test_returns_captured_packets_with_warning(self, pcap_path, captures):
-        with pytest.deprecated_call():
-            packets = read_capture(pcap_path)
-        assert len(packets) == len(captures)
-        assert all(isinstance(p, CapturedPacket) for p in packets)
-        assert [p.timestamp for p in packets] == [
-            p.timestamp for p in PcapFileSource(pcap_path)
-        ]

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.analysis.reportgen import full_report, meeting_report
+from repro.core import AnalyzerConfig
 from repro.core.rolling import RollingZoomAnalyzer
 from repro.simulation import (
     CongestionEvent,
@@ -12,6 +13,13 @@ from repro.simulation import (
     MeetingSimulator,
     ParticipantConfig,
 )
+from tests.frames import single_frame_batches
+
+
+def _config(idle_timeout: float, sweep_interval: float) -> AnalyzerConfig:
+    return AnalyzerConfig(
+        rolling_idle_timeout=idle_timeout, rolling_sweep_interval=sweep_interval
+    )
 
 
 @pytest.fixture(scope="module")
@@ -38,10 +46,10 @@ def two_sequential_meetings():
 
 class TestRollingAnalyzer:
     def test_eviction_bounds_memory(self, two_sequential_meetings):
-        rolling = RollingZoomAnalyzer(idle_timeout=30.0, sweep_interval=5.0)
+        rolling = RollingZoomAnalyzer(_config(30.0, 5.0))
         peak_live = 0
-        for packet in two_sequential_meetings:
-            rolling.feed(packet)
+        for batch in single_frame_batches(two_sequential_meetings):
+            rolling.feed_batch(batch)
             peak_live = max(peak_live, rolling.live_stream_count())
         # After the second meeting, the first meeting's streams are gone.
         rolling.sweep(200.0)
@@ -52,7 +60,7 @@ class TestRollingAnalyzer:
         assert peak_live <= 8
 
     def test_finalized_records_complete(self, two_sequential_meetings):
-        rolling = RollingZoomAnalyzer(idle_timeout=30.0, sweep_interval=5.0)
+        rolling = RollingZoomAnalyzer(_config(30.0, 5.0))
         rolling.analyze(two_sequential_meetings)
         rolling.sweep(500.0)
         assert len(rolling.finalized) == 16  # 2 meetings x (4 egress + 4 ingress)
@@ -65,7 +73,7 @@ class TestRollingAnalyzer:
     def test_callback_invoked(self, two_sequential_meetings):
         seen = []
         rolling = RollingZoomAnalyzer(
-            idle_timeout=30.0, sweep_interval=5.0, on_stream_finalized=seen.append
+            _config(30.0, 5.0), on_stream_finalized=seen.append
         )
         rolling.analyze(two_sequential_meetings)
         rolling.sweep(500.0)
@@ -77,7 +85,7 @@ class TestRollingAnalyzer:
         from repro.core import ZoomAnalyzer
 
         offline = ZoomAnalyzer().analyze(two_sequential_meetings)
-        rolling = RollingZoomAnalyzer(idle_timeout=30.0, sweep_interval=5.0)
+        rolling = RollingZoomAnalyzer(_config(30.0, 5.0))
         rolling.analyze(two_sequential_meetings)
         rolling.sweep(500.0)
         offline_packets = {
@@ -87,7 +95,7 @@ class TestRollingAnalyzer:
         assert rolling_packets == offline_packets
 
     def test_no_eviction_for_active_streams(self, sfu_meeting_result):
-        rolling = RollingZoomAnalyzer(idle_timeout=60.0, sweep_interval=5.0)
+        rolling = RollingZoomAnalyzer(_config(60.0, 5.0))
         rolling.analyze(sfu_meeting_result.captures)
         # Meeting lasted 25 s; nothing idle for 60 s.
         assert rolling.streams_evicted == 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.core import RollingZoomAnalyzer, ZoomAnalyzer
+from repro.core import AnalyzerConfig, RollingZoomAnalyzer, ZoomAnalyzer
 
 
 def _one_pass_totals(result):
@@ -45,9 +45,15 @@ def _rolling_totals(rolling):
     return {key: tuple(value) for key, value in totals.items()}
 
 
+def _config(idle_timeout: float, sweep_interval: float) -> AnalyzerConfig:
+    return AnalyzerConfig(
+        rolling_idle_timeout=idle_timeout, rolling_sweep_interval=sweep_interval
+    )
+
+
 class TestRollingEquivalence:
     def test_eviction_disabled_is_identical(self, sfu_meeting_result, analyzed_sfu):
-        rolling = RollingZoomAnalyzer(idle_timeout=1e9, sweep_interval=1.0)
+        rolling = RollingZoomAnalyzer(_config(1e9, 1.0))
         rolling.analyze(sfu_meeting_result.captures)
         assert not rolling.finalized
         assert rolling.streams_evicted == 0
@@ -55,7 +61,7 @@ class TestRollingEquivalence:
         assert rolling.result.packets_zoom == analyzed_sfu.packets_zoom
 
     def test_eviction_enabled_preserves_totals(self, sfu_meeting_result, analyzed_sfu):
-        rolling = RollingZoomAnalyzer(idle_timeout=3.0, sweep_interval=0.5)
+        rolling = RollingZoomAnalyzer(_config(3.0, 0.5))
         rolling.analyze(sfu_meeting_result.captures)
         # flush everything still live so only finalized streams remain
         last = sfu_meeting_result.captures[-1].timestamp
@@ -65,7 +71,7 @@ class TestRollingEquivalence:
         assert _rolling_totals(rolling) == _one_pass_totals(analyzed_sfu)
 
     def test_eviction_enabled_p2p(self, p2p_meeting_result, analyzed_p2p):
-        rolling = RollingZoomAnalyzer(idle_timeout=3.0, sweep_interval=0.5)
+        rolling = RollingZoomAnalyzer(_config(3.0, 0.5))
         rolling.analyze(p2p_meeting_result.captures)
         rolling.sweep(p2p_meeting_result.captures[-1].timestamp + 10.0)
         assert _rolling_totals(rolling) == _one_pass_totals(analyzed_p2p)
@@ -74,10 +80,12 @@ class TestRollingEquivalence:
 class TestRollingOptions:
     def test_constructor_options_reach_wrapped_analyzer(self):
         rolling = RollingZoomAnalyzer(
-            zoom_subnets=("203.0.113.0/24",),
-            campus_subnets=("10.8.0.0/16",),
-            stun_timeout=7.5,
-            keep_records=True,
+            AnalyzerConfig(
+                zoom_subnets=("203.0.113.0/24",),
+                campus_subnets=("10.8.0.0/16",),
+                stun_timeout=7.5,
+                keep_records=True,
+            )
         )
         detector = rolling.result.detector
         assert detector.campus_matcher is not None
@@ -90,6 +98,8 @@ class TestRollingOptions:
         assert rolling.result.streams.keep_records is False
 
     def test_keep_records_retains_records(self, sfu_meeting_result):
-        rolling = RollingZoomAnalyzer(idle_timeout=1e9, keep_records=True)
+        rolling = RollingZoomAnalyzer(
+            AnalyzerConfig(rolling_idle_timeout=1e9, keep_records=True)
+        )
         rolling.analyze(sfu_meeting_result.captures)
         assert all(s.records for s in rolling.result.streams)

@@ -22,6 +22,7 @@ from repro.rtp.stun import StunMessage
 from repro.zoom.constants import ZoomMediaType
 from repro.zoom.media_encap import MediaEncap
 from repro.zoom.packets import build_media_payload
+from tests.frames import single_frame_batches
 
 ZC = "170.114.200.9"  # Zoom zone controller (inside the published subnets)
 CLIENT = "10.8.1.20"
@@ -82,8 +83,8 @@ class TestActiveP2PFlowOutlivesStunTimeout:
             stun_timeout=120.0, rolling_idle_timeout=60.0, rolling_sweep_interval=10.0
         )
         rolling = RollingZoomAnalyzer(config)
-        for packet in captures:
-            rolling.feed(packet)
+        for batch in single_frame_batches(captures):
+            rolling.feed_batch(batch)
         # Active throughout the capture: nothing may be evicted mid-flow.
         assert rolling.streams_evicted == 0
         assert rolling.live_stream_count() == 1

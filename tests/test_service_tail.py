@@ -15,6 +15,7 @@ from repro.net.pcapng import PcapngReader, PcapngWriter
 from repro.net.source import CaptureDirectorySource, PcapFileSource
 from repro.service.tail import CaptureDirectoryTailer
 from repro.telemetry.registry import Telemetry
+from tests.frames import source_packets
 
 
 def _drain(tailer):
@@ -110,7 +111,7 @@ class TestTailerRotation:
             collected.extend(_drain(tailer))
         collected.extend(_drain(tailer))  # one more poll: nothing new
         assert len(collected) == len(captures)
-        one_shot = list(CaptureDirectorySource(tmp_path))
+        one_shot = source_packets(CaptureDirectorySource(tmp_path))
         assert len(one_shot) == len(collected)
         assert sorted(p.timestamp for p in collected) == sorted(
             p.timestamp for p in one_shot
@@ -217,7 +218,8 @@ class TestResumeTokenSafety:
         path = tmp_path / "t.pcap"
         write_pcap(path, captures[:20])
         with PcapFileSource(path) as source:
-            list(source)
+            for _ in source.frame_batches():
+                pass
             token = source.resume_state()
         path.write_bytes(_pcapng_bytes(captures[:20]))
         from repro.net.source import open_capture_source

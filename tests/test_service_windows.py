@@ -10,6 +10,7 @@ from repro.core.rolling import RollingZoomAnalyzer
 from repro.service.windows import WindowAggregator, media_name
 from repro.telemetry.registry import Telemetry
 from repro.zoom.constants import ZoomMediaType
+from tests.frames import single_frame_batches
 
 
 def _aggregator(**kwargs):
@@ -20,11 +21,17 @@ def _aggregator(**kwargs):
     return aggregator, closed
 
 
+def _observe(aggregator, timestamp: float) -> None:
+    """One 100-byte frame at ``timestamp``, as ``feed_batch`` accounts it."""
+    aggregator.observe_volume(timestamp, 100)
+    aggregator.advance_watermark(timestamp)
+
+
 class TestWindowLifecycle:
     def test_tumbling_boundaries_close_in_order(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=0.0)
         for timestamp in (1.0, 11.0, 21.0):
-            aggregator.observe_packet(timestamp, 100)
+            _observe(aggregator, timestamp)
         assert [w.index for w in closed] == [0, 1]
         assert all(w.packets_total == 1 for w in closed)
         assert closed[0].start == 0.0 and closed[0].end == 10.0
@@ -32,11 +39,11 @@ class TestWindowLifecycle:
 
     def test_lateness_holds_window_open(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=5.0)
-        aggregator.observe_packet(2.0, 100)
-        aggregator.observe_packet(12.0, 100)  # watermark 7 < 10: hold
+        _observe(aggregator, 2.0)
+        _observe(aggregator, 12.0)  # watermark 7 < 10: hold
         assert closed == []
         assert aggregator.open_window_count() == 2
-        aggregator.observe_packet(16.0, 100)  # watermark 11 >= 10: close
+        _observe(aggregator, 16.0)  # watermark 11 >= 10: close
         assert [w.index for w in closed] == [0]
         assert closed[0].packets_total == 1
 
@@ -51,18 +58,18 @@ class TestWindowLifecycle:
             on_window=(closed.append,),
             telemetry=telemetry,
         )
-        aggregator.observe_packet(1.0, 100)
-        aggregator.observe_packet(16.0, 100)  # closes window 0
+        _observe(aggregator, 1.0)
+        _observe(aggregator, 16.0)  # closes window 0
         assert [w.index for w in closed] == [0]
-        aggregator.observe_packet(2.0, 100)  # belongs to the closed window
+        _observe(aggregator, 2.0)  # belongs to the closed window
         assert aggregator.late_events == 1
         assert telemetry.counter("service.late_events") == 1
         assert closed[0].packets_total == 1  # the record did not mutate
 
     def test_exact_boundary_event_is_not_late(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=0.0)
-        aggregator.observe_packet(5.0, 100)
-        aggregator.observe_packet(10.0, 100)  # watermark hits 10 exactly
+        _observe(aggregator, 5.0)
+        _observe(aggregator, 10.0)  # watermark hits 10 exactly
         assert aggregator.late_events == 0
         assert [w.index for w in closed] == [0]
         final = aggregator.flush(final=True)
@@ -82,7 +89,7 @@ class TestWindowLifecycle:
             telemetry=telemetry,
         )
         for timestamp in (5.0, 15.0, 25.0):
-            aggregator.observe_packet(timestamp, 100)
+            _observe(aggregator, timestamp)
         assert [w.index for w in closed] == [0]
         assert closed[0].forced is True
         assert telemetry.counter("service.windows_forced") == 1
@@ -90,8 +97,8 @@ class TestWindowLifecycle:
 
     def test_final_flush_is_idempotent(self):
         aggregator, closed = _aggregator(window_seconds=10.0, lateness=5.0)
-        aggregator.observe_packet(3.0, 100)
-        aggregator.observe_packet(14.0, 100)
+        _observe(aggregator, 3.0)
+        _observe(aggregator, 14.0)
         first = aggregator.flush(final=True)
         assert [w.index for w in first] == [0, 1]
         assert aggregator.flush(final=True) == []
@@ -121,9 +128,8 @@ class TestBatchEquivalence:
             on_window=(closed.append,),
             telemetry=rolling.result.telemetry,
         )
-        for capture in captures:
-            rolling.feed(capture)
-            aggregator.observe_packet(capture.timestamp, len(capture.data))
+        for batch in single_frame_batches(captures):
+            aggregator.feed_batch(batch)
         rolling.sweep(float("inf"))
         aggregator.flush(final=True)
         batch = ZoomAnalyzer(AnalyzerConfig(telemetry=True)).analyze(captures)

@@ -6,7 +6,8 @@ import struct
 
 import pytest
 
-from repro.core import ShardedAnalyzer, ZoomAnalyzer
+from repro.core import AnalyzerConfig, ShardedAnalyzer, ZoomAnalyzer
+from repro.core.config import SHARD_BACKENDS
 from repro.core.sharded import flow_shard_info
 
 
@@ -71,28 +72,53 @@ class TestFlowShardInfo:
 
 class TestPartition:
     def test_flow_affinity_and_order(self, sfu_meeting_result):
-        driver = ShardedAnalyzer(shards=4)
-        buckets = driver.partition(sfu_meeting_result.captures)
-        assert len(buckets) == 4
+        driver = ShardedAnalyzer(AnalyzerConfig(shards=4))
+        captures = sfu_meeting_result.captures
+        work = driver.partition_frames((c.data, c.timestamp) for c in captures)
+        assert len(work) == 4
         seen_flows: dict[int, int] = {}
-        for index, bucket in enumerate(buckets):
-            times = [p.timestamp for p, _ in bucket]
+        home_total = 0
+        for index, batches in enumerate(work):
+            times = [t for batch in batches for t in batch.timestamps]
             assert times == sorted(times)
-            for packet, is_hint in bucket:
-                if is_hint:
-                    continue
-                info = flow_shard_info(packet.data)
-                if info is None:
-                    continue
-                assert seen_flows.setdefault(info[0], index) == index
-        home_total = sum(1 for bucket in buckets for _, hint in bucket if not hint)
-        assert home_total == len(sfu_meeting_result.captures)
+            for batch in batches:
+                for i in range(len(batch)):
+                    if batch.hints is not None and batch.hints[i]:
+                        continue
+                    home_total += 1
+                    info = flow_shard_info(batch.frame(i))
+                    if info is None:
+                        continue
+                    assert seen_flows.setdefault(info[0], index) == index
+        assert home_total == len(captures)
+        assert driver.partition_stats.shard_packets == [
+            sum(
+                len(batch) - (sum(batch.hints) if batch.hints is not None else 0)
+                for batch in batches
+            )
+            for batches in work
+        ]
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            ShardedAnalyzer(shards=0)
+            ShardedAnalyzer(AnalyzerConfig(shards=0))
         with pytest.raises(ValueError):
-            ShardedAnalyzer(backend="gpu")
+            ShardedAnalyzer(AnalyzerConfig(shard_backend="gpu"))
+
+
+class TestBackends:
+    def test_default_backend_is_process(self):
+        assert SHARD_BACKENDS == ("serial", "process")
+        assert AnalyzerConfig().shard_backend == "process"
+        assert ShardedAnalyzer(AnalyzerConfig(shards=2)).backend == "process"
+
+    def test_thread_backend_rejected(self):
+        with pytest.raises(ValueError):
+            AnalyzerConfig(shard_backend="thread")
+
+
+def _serial(shards: int) -> AnalyzerConfig:
+    return AnalyzerConfig(shards=shards, shard_backend="serial")
 
 
 def _assert_equivalent(single, sharded):
@@ -113,7 +139,7 @@ def _assert_equivalent(single, sharded):
 
 class TestEquivalence:
     def test_sfu_meeting_four_shards(self, sfu_meeting_result, analyzed_sfu):
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(
+        sharded = ShardedAnalyzer(_serial(4)).analyze(
             sfu_meeting_result.captures
         )
         _assert_equivalent(analyzed_sfu, sharded)
@@ -121,7 +147,7 @@ class TestEquivalence:
     def test_p2p_meeting_four_shards(self, p2p_meeting_result, analyzed_p2p):
         # P2P media runs on a different 5-tuple than the STUN exchange that
         # announces it — only STUN replication keeps detection sharding-safe
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(
+        sharded = ShardedAnalyzer(_serial(4)).analyze(
             p2p_meeting_result.captures
         )
         _assert_equivalent(analyzed_p2p, sharded)
@@ -130,11 +156,7 @@ class TestEquivalence:
         )
 
     def test_single_shard_matches(self, sfu_meeting_result, analyzed_sfu):
-        sharded = ShardedAnalyzer(shards=1).analyze(sfu_meeting_result.captures)
-        _assert_equivalent(analyzed_sfu, sharded)
-
-    def test_thread_backend(self, sfu_meeting_result, analyzed_sfu):
-        sharded = ShardedAnalyzer(shards=3, backend="thread").analyze(
+        sharded = ShardedAnalyzer(AnalyzerConfig(shards=1)).analyze(
             sfu_meeting_result.captures
         )
         _assert_equivalent(analyzed_sfu, sharded)
@@ -143,7 +165,7 @@ class TestEquivalence:
     def test_process_backend(self, sfu_meeting_result, analyzed_sfu):
         # Spawning workers and pickling packets across process boundaries
         # dominates the runtime here, hence the slow marker.
-        sharded = ShardedAnalyzer(shards=2, backend="process").analyze(
+        sharded = ShardedAnalyzer(AnalyzerConfig(shards=2)).analyze(
             sfu_meeting_result.captures
         )
         _assert_equivalent(analyzed_sfu, sharded)
@@ -154,7 +176,7 @@ class TestEquivalence:
 
         captures = sfu_meeting_result.captures
         single = ZoomAnalyzer().analyze(captures)
-        sharded = ShardedAnalyzer(shards=2, backend="process").analyze(captures)
+        sharded = ShardedAnalyzer(AnalyzerConfig(shards=2)).analyze(captures)
         assert shard_invariant_counters(
             sharded.telemetry_snapshot()
         ) == shard_invariant_counters(single.telemetry_snapshot())
@@ -163,7 +185,7 @@ class TestEquivalence:
         from repro.analysis.export import feature_rows
         from repro.analysis.reportgen import full_report
 
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(
+        sharded = ShardedAnalyzer(_serial(4)).analyze(
             sfu_meeting_result.captures
         )
         assert "Meeting" in full_report(sharded)
@@ -171,10 +193,12 @@ class TestEquivalence:
 
     def test_options_forwarded_to_shards(self, sfu_meeting_result):
         sharded = ShardedAnalyzer(
-            shards=2,
-            backend="serial",
-            campus_subnets=("10.8.0.0/16",),
-            keep_records=True,
+            AnalyzerConfig(
+                shards=2,
+                shard_backend="serial",
+                campus_subnets=("10.8.0.0/16",),
+                keep_records=True,
+            )
         ).analyze(sfu_meeting_result.captures)
         assert sharded.streams.keep_records is True
         assert all(s.records for s in sharded.streams)

@@ -12,6 +12,7 @@ telemetry counters must all agree exactly.
 
 import pytest
 
+from tests.frames import source_packets
 from tests.golden_utils import golden_config, summarize_result
 from repro.core import AnalysisSession, AnalyzerConfig, ZoomAnalyzer
 from repro.net.pcap import write_pcap
@@ -66,26 +67,24 @@ class TestIngestionEquivalence:
         assert _summary(str(pcap_path)) == _summary(PcapFileSource(pcap_path))
 
     def test_session_matches_legacy_analyze(self, pcap_path):
-        """The new front door reproduces the old read_pcap + feed() recipe,
-        telemetry counters included."""
-        import warnings
-
-        from repro.net.pcap import read_pcap
+        """The new front door reproduces the per-frame reader + feed()
+        recipe, telemetry counters included."""
+        from repro.net.pcap import PcapReader
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry(enabled=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            packets = read_pcap(pcap_path, telemetry=telemetry)
         legacy = ZoomAnalyzer(AnalyzerConfig(telemetry=telemetry))
-        legacy_summary = summarize_result(legacy.analyze(packets))
+        with PcapReader(pcap_path, telemetry=telemetry) as reader:
+            for packet in reader:
+                legacy.feed(packet)
+        legacy_summary = summarize_result(legacy.result)
         assert _summary(PcapFileSource(pcap_path)) == legacy_summary
 
     def test_unquantized_iterable_differs_only_in_timestamps(self, sim_result):
         """Sanity check on the quantization argument: raw simulator
         timestamps pass through IterableSource unrounded."""
-        raw = list(IterableSource(sim_result.captures))
-        quantized = list(SimulationSource(sim_result.captures))
+        raw = source_packets(IterableSource(sim_result.captures))
+        quantized = source_packets(SimulationSource(sim_result.captures))
         assert len(raw) == len(quantized)
         assert all(
             abs(r.timestamp - q.timestamp) < 1e-8

@@ -80,6 +80,19 @@ def populated(tmp_path):
     return store
 
 
+@pytest.fixture()
+def two_media_partitions(tmp_path):
+    """Two sealed 60-s partitions: a video window with meeting 1, then an
+    audio window with meeting 2."""
+    store = MetricsStore(tmp_path, StoreConfig(partition_seconds=60.0))
+    store.append(_window(0, media=("video",)))
+    store.append(_meeting(1, 0.0, 50.0))
+    store.append(_window(6, media=("audio",)))
+    store.append(_meeting(2, 60.0, 110.0))
+    store.close()
+    return store
+
+
 class TestPlanning:
     def test_time_range_skips_non_overlapping_segments(self, populated):
         result = populated.query(StoreQuery(start=200.0, end=290.0))
@@ -87,15 +100,28 @@ class TestPlanning:
         assert result.segments_skipped >= 2  # partitions 0 and 5 pruned
         assert result.segments_scanned >= 1
 
-    def test_index_and_full_scan_agree(self, populated):
-        query = StoreQuery(start=500.0, kinds=("window",))
-        indexed = populated.query(query)
-        scanned = populated.query(
-            StoreQuery(start=500.0, kinds=("window",), use_index=False)
-        )
+    @pytest.mark.parametrize(
+        ("store_fixture", "fields", "prunes"),
+        [
+            ("populated", {"start": 500.0, "kinds": ("window",)}, True),
+            # Meetings carry no media, so a media filter must not prune the
+            # segments holding them.
+            (
+                "two_media_partitions",
+                {"kinds": ("meeting", "window"), "media": "video"},
+                False,
+            ),
+        ],
+        ids=["late-windows", "meetings-and-video-windows"],
+    )
+    def test_index_and_full_scan_agree(self, request, store_fixture, fields, prunes):
+        store = request.getfixturevalue(store_fixture)
+        indexed = store.query(StoreQuery(**fields))
+        scanned = store.query(StoreQuery(**fields, use_index=False))
         assert indexed.records == scanned.records
         assert scanned.segments_skipped == 0
-        assert scanned.records_examined > indexed.records_examined
+        if prunes:
+            assert scanned.records_examined > indexed.records_examined
 
     def test_kind_pruning(self, populated):
         result = populated.query(StoreQuery(kinds=("meeting",)))

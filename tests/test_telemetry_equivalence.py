@@ -13,8 +13,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import RollingZoomAnalyzer, ShardedAnalyzer, ZoomAnalyzer
+from repro.core import AnalyzerConfig, RollingZoomAnalyzer, ShardedAnalyzer, ZoomAnalyzer
 from repro.telemetry import shard_invariant_counters
+
+
+def _serial(shards: int, **options) -> AnalyzerConfig:
+    return AnalyzerConfig(shards=shards, shard_backend="serial", **options)
+
+
+def _rolling(idle_timeout: float, sweep_interval: float) -> RollingZoomAnalyzer:
+    return RollingZoomAnalyzer(
+        AnalyzerConfig(
+            rolling_idle_timeout=idle_timeout, rolling_sweep_interval=sweep_interval
+        )
+    )
 
 
 def _single_pass_counters(captures) -> dict[str, int]:
@@ -26,15 +38,7 @@ class TestShardedTelemetryEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_serial_backend_matches_single_pass(self, sfu_meeting_result, shards):
         captures = sfu_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=shards, backend="serial").analyze(captures)
-        assert (
-            shard_invariant_counters(sharded.telemetry_snapshot())
-            == _single_pass_counters(captures)
-        )
-
-    def test_thread_backend_matches_single_pass(self, sfu_meeting_result):
-        captures = sfu_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=3, backend="thread").analyze(captures)
+        sharded = ShardedAnalyzer(_serial(shards)).analyze(captures)
         assert (
             shard_invariant_counters(sharded.telemetry_snapshot())
             == _single_pass_counters(captures)
@@ -44,7 +48,7 @@ class TestShardedTelemetryEquivalence:
         """STUN hints are replicated to every shard; only the home shard may
         count them, or sharded totals would inflate with the shard count."""
         captures = p2p_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(captures)
+        sharded = ShardedAnalyzer(_serial(4)).analyze(captures)
         assert (
             shard_invariant_counters(sharded.telemetry_snapshot())
             == _single_pass_counters(captures)
@@ -52,14 +56,14 @@ class TestShardedTelemetryEquivalence:
 
     def test_shard_local_counters_cover_every_packet(self, sfu_meeting_result):
         captures = sfu_meeting_result.captures
-        sharded = ShardedAnalyzer(shards=4, backend="serial").analyze(captures)
+        sharded = ShardedAnalyzer(_serial(4)).analyze(captures)
         snapshot = sharded.telemetry_snapshot()
         per_shard = snapshot.counters_under("sharded.shard_packets.")
         assert len(per_shard) == 4
         assert sum(per_shard.values()) == len(captures)
 
     def test_disabled_telemetry_stays_empty(self, sfu_meeting_result):
-        sharded = ShardedAnalyzer(shards=2, backend="serial", telemetry=False)
+        sharded = ShardedAnalyzer(_serial(2, telemetry=False))
         result = sharded.analyze(sfu_meeting_result.captures)
         assert result.telemetry_snapshot().counters == {}
 
@@ -70,7 +74,7 @@ class TestRollingTelemetryEquivalence:
         pipeline — every counter except its own ``rolling.*`` bookkeeping
         must be identical, including ``assemble.meetings_formed``."""
         captures = sfu_meeting_result.captures
-        rolling = RollingZoomAnalyzer(idle_timeout=1e9, sweep_interval=1.0)
+        rolling = _rolling(1e9, 1.0)
         rolling.analyze(captures)
         single = ZoomAnalyzer().analyze(captures).telemetry_snapshot()
         rolling_counters = {
@@ -86,7 +90,7 @@ class TestRollingTelemetryEquivalence:
         ``assemble.stream_opened`` may only grow (evicted streams that
         resume are opened again)."""
         captures = sfu_meeting_result.captures
-        rolling = RollingZoomAnalyzer(idle_timeout=3.0, sweep_interval=0.5)
+        rolling = _rolling(3.0, 0.5)
         rolling.analyze(captures)
         # Flush everything still live so every stream goes through eviction.
         rolling.sweep(captures[-1].timestamp + 10.0)
